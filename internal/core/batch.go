@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BatchKind selects the executor a BatchQuery runs through.
@@ -60,21 +60,18 @@ type bqState struct {
 	// could not decide.
 	keep  []bool
 	undec []bool
-	// BatchTopK.
-	k     int
-	cands []tkCand
-	tt    *TauTracker
-	// BatchAgg: candidate groups plus the flat (group, member) list
-	// the bounds stage fans out over.
-	gcands []gcand
-	pairs  [][2]int
+	// Ranking kinds: the bound targets (TopK's targets, or AggTopK's
+	// group members), their bounds, and the pruned ranking.
+	targets []int64
+	cands   []CandBound
+	rank    *ranking
 }
 
 // consumer is one query's interest in one mask load: qi names the
-// query; for BatchFilter a is the target index, for BatchTopK the
-// candidate index, and for BatchAgg (a, b) is (group, member).
+// query and i the target index (BatchFilter) or verify item index
+// (ranking kinds).
 type consumer struct {
-	qi, a, b int
+	qi, i int
 }
 
 // ExecBatch executes a multi-query workload (§4.5) as one scheduled
@@ -82,7 +79,9 @@ type consumer struct {
 // then groups the surviving verification work by mask: each distinct
 // mask the batch needs is loaded from the store once and fanned out to
 // every interested query, instead of once per query. Loads and bounds
-// work run on env.Exec's worker pool.
+// work run on env.Exec's worker pool; the bounds, pruning and ranking
+// are the standalone executors' own (decide, boundCand, rankTopK,
+// rankAgg), only the verification stage is the batch's.
 //
 // Results are byte-identical to running each query alone through
 // Filter, TopK and AggTopK — bounds decisions are per query and exact
@@ -102,45 +101,31 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 	for qi := range queries {
 		s := &states[qi]
 		s.q = queries[qi]
-		if len(s.q.Terms) > maxTerms {
-			maxTerms = len(s.q.Terms)
-		}
+		maxTerms = max(maxTerms, len(s.q.Terms))
 		switch s.q.Kind {
 		case BatchFilter:
 			s.pred = s.q.Pred
 			if s.pred == nil {
 				s.pred = And{}
 			}
-			s.st.Targets = len(s.q.Targets)
-			s.keep = make([]bool, len(s.q.Targets))
-			s.undec = make([]bool, len(s.q.Targets))
-			for i := range s.q.Targets {
-				units = append(units, unit{qi, i})
+			s.targets = s.q.Targets
+			s.keep = make([]bool, len(s.targets))
+			s.undec = make([]bool, len(s.targets))
+		case BatchTopK, BatchAgg:
+			if err := CheckScore(s.q.Terms, s.q.Score); err != nil {
+				return nil, fmt.Errorf("core: batch query %d: %w", qi, err)
 			}
-		case BatchTopK:
-			if int(s.q.Score) < 0 || int(s.q.Score) >= len(s.q.Terms) {
-				return nil, fmt.Errorf("core: batch query %d: score term T%d out of range (have %d terms)",
-					qi, int(s.q.Score), len(s.q.Terms))
+			s.targets = s.q.Targets
+			if s.q.Kind == BatchAgg {
+				s.targets = groupMembers(s.q.Groups)
 			}
-			s.st.Targets = len(s.q.Targets)
-			s.cands = make([]tkCand, len(s.q.Targets))
-			for i := range s.q.Targets {
-				units = append(units, unit{qi, i})
-			}
-		case BatchAgg:
-			if int(s.q.Score) < 0 || int(s.q.Score) >= len(s.q.Terms) {
-				return nil, fmt.Errorf("core: batch query %d: score term T%d out of range (have %d terms)",
-					qi, int(s.q.Score), len(s.q.Terms))
-			}
-			s.gcands = gcandSkeletons(s.q.Groups, &s.st)
-			for gi := range s.gcands {
-				for i := range s.gcands[gi].ids {
-					s.pairs = append(s.pairs, [2]int{gi, i})
-					units = append(units, unit{qi, len(s.pairs) - 1})
-				}
-			}
+			s.cands = make([]CandBound, len(s.targets))
 		default:
 			return nil, fmt.Errorf("core: batch query %d: unknown kind %v", qi, s.q.Kind)
+		}
+		s.st.Targets = len(s.targets)
+		for i := range s.targets {
+			units = append(units, unit{qi, i})
 		}
 	}
 
@@ -163,51 +148,20 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 	// Stage 1: every query's bounds, fanned out over the flat
 	// (query, item) work list. Decisions are per query and independent
 	// per item, so this matches each standalone bounds stage exactly.
-	err := fanOut(ctx, workers, len(units), func(w, ui int) error {
+	_, err := forEach(ctx, env, len(units), nil, func(w int, _ *Stats, ui int) error {
 		u := units[ui]
 		s := &states[u.qi]
 		st := &wstats[w][u.qi]
-		switch s.q.Kind {
-		case BatchFilter:
-			id := s.q.Targets[u.i]
-			decision := Unknown
-			if len(s.q.Terms) == 0 {
-				decision = True // metadata-only predicate
-			} else {
-				chi, err := env.chiFor(id, st)
-				if err != nil {
-					return err
-				}
-				if chi != nil {
-					bs := scratch[w][:len(s.q.Terms)]
-					for t, term := range s.q.Terms {
-						bs[t] = term.BoundsFrom(chi, id)
-					}
-					decision = s.pred.FromBounds(bs)
-				}
-			}
-			switch decision {
-			case True:
-				st.AcceptedByBounds++
-				s.keep[u.i] = true
-			case False:
-				st.RejectedByBounds++
-			default:
-				s.undec[u.i] = true
-			}
-		case BatchTopK:
-			c, err := env.topkBound(s.q.Targets[u.i], s.q.Terms[s.q.Score], st)
-			if err != nil {
-				return err
-			}
-			s.cands[u.i] = c
-		case BatchAgg:
-			p := s.pairs[u.i]
-			if err := env.memberBound(&s.gcands[p[0]], p[1], s.q.Terms[s.q.Score], st); err != nil {
-				return err
-			}
+		id := s.targets[u.i]
+		if s.q.Kind != BatchFilter {
+			var err error
+			s.cands[u.i], err = env.boundCand(id, s.q.Terms[s.q.Score], st)
+			return err
 		}
-		return nil
+		d, err := env.decide(id, s.q.Terms, s.pred, scratch[w][:len(s.q.Terms)], st)
+		s.keep[u.i] = d == True
+		s.undec[u.i] = d == Unknown
+		return err
 	})
 	mergeWorkerStats()
 	if err != nil {
@@ -218,56 +172,30 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 	// batch load plan — every mask still needing verification, mapped
 	// to the consumers interested in it.
 	needs := make(map[int64][]consumer)
-	addNeed := func(id int64, c consumer) { needs[id] = append(needs[id], c) }
 	for qi := range states {
 		s := &states[qi]
 		switch s.q.Kind {
 		case BatchFilter:
 			for i, u := range s.undec {
 				if u {
-					addNeed(s.q.Targets[i], consumer{qi: qi, a: i})
+					needs[s.targets[i]] = append(needs[s.targets[i]], consumer{qi, i})
 				}
 			}
+			continue
 		case BatchTopK:
-			s.k = s.q.K
-			if s.k <= 0 || s.k > len(s.cands) {
-				s.k = len(s.cands)
-			}
-			s.cands = topkPrune(s.cands, s.k, s.q.Order, &s.st)
-			s.tt = NewTauTracker(s.k, s.q.Order)
-			for i := range s.cands {
-				if s.cands[i].known {
-					s.st.AcceptedByBounds++
-					s.tt.Add(s.cands[i].score)
-				} else {
-					addNeed(s.cands[i].id, consumer{qi: qi, a: i})
-				}
-			}
+			s.rank = rankTopK(s.cands, nil, s.q.K, s.q.Order, true, &s.st)
 		case BatchAgg:
-			for gi := range s.gcands {
-				gc := &s.gcands[gi]
-				gc.lo, gc.hi = aggBounds(s.q.Agg, gc.los, gc.his)
-			}
-			s.k = s.q.K
-			if s.k <= 0 || s.k > len(s.gcands) {
-				s.k = len(s.gcands)
-			}
-			s.gcands = aggPrune(s.gcands, s.k, s.q.Order, &s.st)
-			for gi := range s.gcands {
-				gc := &s.gcands[gi]
-				for i := range gc.ids {
-					if !gc.known[i] {
-						addNeed(gc.ids[i], consumer{qi: qi, a: gi, b: i})
-					}
-				}
-			}
+			s.rank = rankAgg(s.q.Groups, s.cands, nil, s.q.Agg, s.q.K, s.q.Order, &s.st)
+		}
+		for i, it := range s.rank.items {
+			needs[it.ID] = append(needs[it.ID], consumer{qi, i})
 		}
 	}
 	ids := make([]int64, 0, len(needs))
 	for id := range needs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	// Stage 3: shared verification. Each distinct mask is loaded once
 	// and evaluated for every consumer; a Top-K consumer whose bounds
@@ -275,52 +203,45 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 	// nobody still wants is not loaded at all). On a sharded store the
 	// loads are handed out shard by shard, so each shard's file and
 	// cache arena serve their own worker slice.
-	err = fanOutLoads(ctx, env.Loader, workers, len(ids), func(ii int) int64 { return ids[ii] },
-		func(w, ii int) error {
-			id := ids[ii]
-			cons := needs[id]
-			active := make([]consumer, 0, len(cons))
-			for _, c := range cons {
-				s := &states[c.qi]
-				if s.q.Kind == BatchTopK && s.tt.Skip(s.cands[c.a].b) {
-					s.cands[c.a].skip = true
-					wstats[w][c.qi].RejectedByBounds++
-					continue
-				}
-				active = append(active, c)
+	_, err = forEach(ctx, env, len(ids), func(ii int) int64 { return ids[ii] }, func(w int, _ *Stats, ii int) error {
+		id := ids[ii]
+		cons := needs[id]
+		active := make([]consumer, 0, len(cons))
+		for _, c := range cons {
+			if r := states[c.qi].rank; r != nil && r.skip(c.i) {
+				wstats[w][c.qi].RejectedByBounds++
+				continue
 			}
-			if len(active) == 0 {
-				return nil
-			}
-			m, err := env.Loader.LoadMask(id)
-			if err != nil {
-				return fmt.Errorf("verify mask %d: %w", id, err)
-			}
-			for _, c := range active {
-				s := &states[c.qi]
-				wstats[w][c.qi].Loaded++
-				vals := make([]int64, len(s.q.Terms))
-				for ti, t := range s.q.Terms {
-					vals[ti] = t.Eval(id, m)
-				}
-				switch s.q.Kind {
-				case BatchFilter:
-					s.keep[c.a] = s.pred.Eval(vals)
-				case BatchTopK:
-					s.cands[c.a].score = vals[s.q.Score]
-					s.tt.Add(s.cands[c.a].score)
-				case BatchAgg:
-					s.gcands[c.a].vals[c.b] = float64(vals[s.q.Score])
-				}
-			}
-			if env.OnVerify != nil {
-				env.OnVerify(id, m)
-			}
-			if r, ok := env.Loader.(MaskRecycler); ok {
-				r.ReleaseMask(m)
-			}
+			active = append(active, c)
+		}
+		if len(active) == 0 {
 			return nil
-		})
+		}
+		m, err := env.Loader.LoadMask(id)
+		if err != nil {
+			return fmt.Errorf("verify mask %d: %w", id, err)
+		}
+		for _, c := range active {
+			s := &states[c.qi]
+			wstats[w][c.qi].Loaded++
+			vals := make([]int64, len(s.q.Terms))
+			for ti, t := range s.q.Terms {
+				vals[ti] = t.Eval(id, m)
+			}
+			if s.rank != nil {
+				s.rank.land(c.i, vals[s.q.Score])
+			} else {
+				s.keep[c.i] = s.pred.Eval(vals)
+			}
+		}
+		if env.OnVerify != nil {
+			env.OnVerify(id, m)
+		}
+		if r, ok := env.Loader.(MaskRecycler); ok {
+			r.ReleaseMask(m)
+		}
+		return nil
+	})
 	mergeWorkerStats()
 	if err != nil {
 		return nil, err
@@ -331,46 +252,16 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 	out := make([]BatchResult, len(queries))
 	for qi := range states {
 		s := &states[qi]
-		res := &out[qi]
-		switch s.q.Kind {
-		case BatchFilter:
-			for i, id := range s.q.Targets {
+		if s.rank != nil {
+			out[qi].Ranked = s.rank.out()
+		} else {
+			for i, id := range s.targets {
 				if s.keep[i] {
-					res.IDs = append(res.IDs, id)
+					out[qi].IDs = append(out[qi].IDs, id)
 				}
 			}
-		case BatchTopK:
-			ranked := make([]Scored, 0, len(s.cands))
-			for i := range s.cands {
-				if s.cands[i].skip {
-					continue
-				}
-				ranked = append(ranked, Scored{ID: s.cands[i].id, Score: float64(s.cands[i].score)})
-			}
-			SortScored(ranked, s.q.Order)
-			if s.k < len(ranked) {
-				ranked = ranked[:s.k]
-			}
-			res.Ranked = ranked
-		case BatchAgg:
-			ranked := make([]Scored, 0, len(s.gcands))
-			for gi := range s.gcands {
-				gc := &s.gcands[gi]
-				for i := range gc.ids {
-					if gc.known[i] {
-						s.st.AcceptedByBounds++
-						gc.vals[i] = float64(gc.exact[i])
-					}
-				}
-				ranked = append(ranked, Scored{ID: gc.key, Score: AggExact(s.q.Agg, gc.vals)})
-			}
-			SortScored(ranked, s.q.Order)
-			if s.k < len(ranked) {
-				ranked = ranked[:s.k]
-			}
-			res.Ranked = ranked
 		}
-		res.Stats = s.st
+		out[qi].Stats = s.st
 	}
 	return out, nil
 }

@@ -21,10 +21,6 @@ type Exec struct {
 	Workers int
 }
 
-// ExecParallel returns the default worker-pool configuration:
-// GOMAXPROCS workers.
-func ExecParallel() Exec { return Exec{Workers: -1} }
-
 // ExecFor maps a user-facing workers knob (as exposed by
 // Options.Workers and the CLI -workers flags) to an execution
 // strategy: 0 means GOMAXPROCS, 1 forces the sequential engine, any
@@ -32,7 +28,7 @@ func ExecParallel() Exec { return Exec{Workers: -1} }
 func ExecFor(workers int) Exec {
 	switch workers {
 	case 0:
-		return ExecParallel()
+		return Exec{Workers: -1}
 	case 1:
 		return Exec{}
 	default:
@@ -231,251 +227,40 @@ func fanOutSharded(ctx context.Context, workers, n int, queues [][]int, fn func(
 	return nil
 }
 
-// addCounters folds per-worker stats into dst. Workers never set
-// Targets (the caller sets it once for the whole query), so Merge is
-// safe to reuse as-is.
-func addCounters(dst *Stats, ws []Stats) {
+// forEach runs fn(w, st, i) for every i in [0, n) and returns the sum
+// of the Stats fn accumulated. With one worker, or below
+// minParallelTargets, it is a plain loop polling ctx every 256th item
+// (w is 0 and st the result itself); otherwise it fans the items across
+// env.Exec's pool, by shard when idOf is non-nil (the stage loads
+// masks) and the loader is sharded, giving each worker w its own st.
+// Every stage whose outcome is independent per item lands results in
+// caller-indexed slots, so both paths produce identical results.
+func forEach(ctx context.Context, env *Env, n int, idOf func(i int) int64, fn func(w int, st *Stats, i int) error) (Stats, error) {
+	var st Stats
+	w := env.Exec.workers()
+	if w <= 1 || n < minParallelTargets {
+		for i := range n {
+			if err := CheckCtx(ctx, i); err != nil {
+				return st, err
+			}
+			if err := fn(0, &st, i); err != nil {
+				return st, err
+			}
+		}
+		return st, nil
+	}
+	ws := make([]Stats, w)
+	run := func(wk, i int) error { return fn(wk, &ws[wk], i) }
+	var err error
+	if idOf != nil {
+		err = fanOutLoads(ctx, env.Loader, w, n, idOf, run)
+	} else {
+		err = fanOut(ctx, w, n, run)
+	}
 	for i := range ws {
-		dst.Merge(ws[i])
+		st.Merge(ws[i])
 	}
-}
-
-// TauTracker maintains the k-th best exact score seen so far as a
-// shared, atomically readable threshold. For Desc it keeps a min-heap
-// of the k largest scores (the root is τ); for Asc a max-heap of the
-// k smallest. A candidate whose upper bound is strictly worse than τ
-// cannot tie with — let alone beat — any of the k tracked candidates,
-// so skipping it can never change the top-k result. It is exported
-// (alongside TauGate) for the distributed coordinator, which is the
-// single τ authority of a scatter-gathered TopK: every exact score
-// from every shard lands here, and the refined threshold is pushed
-// back to the remote nodes' gates.
-type TauTracker struct {
-	mu   sync.Mutex
-	ord  Order
-	k    int
-	h    []int64
-	tau  atomic.Int64
-	full atomic.Bool
-}
-
-func NewTauTracker(k int, ord Order) *TauTracker {
-	return &TauTracker{ord: ord, k: k, h: make([]int64, 0, k)}
-}
-
-// rootWorse reports whether a ranks strictly worse than b (the heap
-// root is the worst retained score).
-func (t *TauTracker) rootWorse(a, b int64) bool {
-	if t.ord == Desc {
-		return a < b
-	}
-	return a > b
-}
-
-// Add lands one exact score. Each candidate's score must be added at
-// most once: a duplicate add would make the heap count one candidate
-// twice and tighten τ beyond what the landed scores justify.
-func (t *TauTracker) Add(s int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.h) < t.k {
-		t.h = append(t.h, s)
-		for i := len(t.h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !t.rootWorse(t.h[i], t.h[p]) {
-				break
-			}
-			t.h[i], t.h[p] = t.h[p], t.h[i]
-			i = p
-		}
-		if len(t.h) == t.k {
-			t.tau.Store(t.h[0])
-			t.full.Store(true)
-		}
-		return
-	}
-	if !t.rootWorse(t.h[0], s) {
-		return
-	}
-	t.h[0] = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < len(t.h) && t.rootWorse(t.h[l], t.h[worst]) {
-			worst = l
-		}
-		if r < len(t.h) && t.rootWorse(t.h[r], t.h[worst]) {
-			worst = r
-		}
-		if worst == i {
-			break
-		}
-		t.h[i], t.h[worst] = t.h[worst], t.h[i]
-		i = worst
-	}
-	t.tau.Store(t.h[0])
-}
-
-// Skip reports whether a candidate with bounds b provably cannot
-// reach the k-th rank given the scores landed so far. Reading a stale
-// τ only makes the check more conservative, so no lock is needed.
-func (t *TauTracker) Skip(b Bounds) bool {
-	if !t.full.Load() {
-		return false
-	}
-	if t.ord == Desc {
-		return b.Hi < t.tau.Load()
-	}
-	return b.Lo > t.tau.Load()
-}
-
-// Threshold reports the current τ; ok is false until k scores have
-// landed (before that no candidate may be skipped).
-func (t *TauTracker) Threshold() (tau int64, ok bool) {
-	if !t.full.Load() {
-		return 0, false
-	}
-	return t.tau.Load(), true
-}
-
-// topkPar is the worker-pool TopK engine: parallel bounds, static
-// pruning identical to the sequential engine, then parallel
-// verification under a shared refining τ.
-func topkPar(ctx context.Context, env *Env, targets []int64, terms []CPTerm, score Term, k int, ord Order, workers int) ([]Scored, Stats, error) {
-	st := Stats{Targets: len(targets)}
-	cands := make([]tkCand, len(targets))
-	wstats := make([]Stats, workers)
-	err := fanOut(ctx, workers, len(targets), func(w, i int) error {
-		c, err := env.topkBound(targets[i], terms[score], &wstats[w])
-		if err != nil {
-			return err
-		}
-		cands[i] = c
-		return nil
-	})
-	addCounters(&st, wstats)
-	if err != nil {
-		return nil, st, err
-	}
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = topkPrune(cands, k, ord, &st)
-
-	tt := NewTauTracker(k, ord)
-	unknown := make([]int, 0, len(cands))
-	for i := range cands {
-		if cands[i].known {
-			st.AcceptedByBounds++
-			tt.Add(cands[i].score)
-		} else {
-			unknown = append(unknown, i)
-		}
-	}
-	wstats = make([]Stats, workers)
-	err = fanOutLoads(ctx, env.Loader, workers, len(unknown), func(ui int) int64 { return cands[unknown[ui]].id },
-		func(w, ui int) error {
-			c := &cands[unknown[ui]]
-			if tt.Skip(c.b) {
-				c.skip = true
-				wstats[w].RejectedByBounds++
-				return nil
-			}
-			vals, err := env.verify(c.id, terms, &wstats[w])
-			if err != nil {
-				return err
-			}
-			c.score = vals[score]
-			tt.Add(c.score)
-			return nil
-		})
-	addCounters(&st, wstats)
-	if err != nil {
-		return nil, st, err
-	}
-	out := make([]Scored, 0, len(cands))
-	for i := range cands {
-		if cands[i].skip {
-			continue
-		}
-		out = append(out, Scored{ID: cands[i].id, Score: float64(cands[i].score)})
-	}
-	SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
-}
-
-// aggPar is the worker-pool AggTopK engine: member bounds and member
-// verification fan out over a flat (group, member) work list; pruning
-// and aggregation match the sequential engine exactly.
-func aggPar(ctx context.Context, env *Env, cands []gcand, terms []CPTerm, score Term, agg Agg, k int, ord Order, workers int, st Stats) ([]Scored, Stats, error) {
-	type pair struct{ g, i int }
-	pairs := make([]pair, 0, st.Targets)
-	for gi := range cands {
-		for i := range cands[gi].ids {
-			pairs = append(pairs, pair{gi, i})
-		}
-	}
-	wstats := make([]Stats, workers)
-	err := fanOut(ctx, workers, len(pairs), func(w, pi int) error {
-		p := pairs[pi]
-		return env.memberBound(&cands[p.g], p.i, terms[score], &wstats[w])
-	})
-	addCounters(&st, wstats)
-	if err != nil {
-		return nil, st, err
-	}
-	for gi := range cands {
-		cands[gi].lo, cands[gi].hi = aggBounds(agg, cands[gi].los, cands[gi].his)
-	}
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = aggPrune(cands, k, ord, &st)
-
-	pairs = pairs[:0]
-	for gi := range cands {
-		for i := range cands[gi].ids {
-			if !cands[gi].known[i] {
-				pairs = append(pairs, pair{gi, i})
-			}
-		}
-	}
-	wstats = make([]Stats, workers)
-	err = fanOutLoads(ctx, env.Loader, workers, len(pairs), func(pi int) int64 { return cands[pairs[pi].g].ids[pairs[pi].i] },
-		func(w, pi int) error {
-			p := pairs[pi]
-			gc := &cands[p.g]
-			ev, err := env.verify(gc.ids[p.i], terms, &wstats[w])
-			if err != nil {
-				return err
-			}
-			gc.vals[p.i] = float64(ev[score])
-			return nil
-		})
-	addCounters(&st, wstats)
-	if err != nil {
-		return nil, st, err
-	}
-	out := make([]Scored, 0, len(cands))
-	for gi := range cands {
-		gc := &cands[gi]
-		for i := range gc.ids {
-			if gc.known[i] {
-				st.AcceptedByBounds++
-				gc.vals[i] = float64(gc.exact[i])
-			}
-		}
-		out = append(out, Scored{ID: gc.key, Score: AggExact(agg, gc.vals)})
-	}
-	SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
+	return st, err
 }
 
 // IndexAll builds a CHI for every listed mask not yet present in ix,
@@ -485,7 +270,9 @@ func aggPar(ctx context.Context, env *Env, cands []gcand, terms []CPTerm, score 
 // the index one Observe at a time.
 func IndexAll(ctx context.Context, loader MaskLoader, ix *MemoryIndex, ids []int64, ex Exec) (int, error) {
 	var built atomic.Int64
-	do := func(id int64) error {
+	env := &Env{Loader: loader, Exec: ex}
+	_, err := forEach(ctx, env, len(ids), func(i int) int64 { return ids[i] }, func(_ int, _ *Stats, i int) error {
+		id := ids[i]
 		if chi, err := ix.ChiFor(id); err != nil {
 			return err
 		} else if chi != nil {
@@ -505,19 +292,6 @@ func IndexAll(ctx context.Context, loader MaskLoader, ix *MemoryIndex, ids []int
 		ix.Add(id, chi)
 		built.Add(1)
 		return nil
-	}
-	if w := ex.workers(); w > 1 && len(ids) >= minParallelTargets {
-		err := fanOutLoads(ctx, loader, w, len(ids), func(i int) int64 { return ids[i] },
-			func(_, i int) error { return do(ids[i]) })
-		return int(built.Load()), err
-	}
-	for i, id := range ids {
-		if err := CheckCtx(ctx, i); err != nil {
-			return int(built.Load()), err
-		}
-		if err := do(id); err != nil {
-			return int(built.Load()), err
-		}
-	}
-	return int(built.Load()), nil
+	})
+	return int(built.Load()), err
 }

@@ -105,17 +105,18 @@ func CheckCtx(ctx context.Context, i int) error {
 	return nil
 }
 
-// filterTarget resolves one target: decide from CHI bounds when
-// possible, otherwise load and verify. bs is a caller-owned scratch
-// buffer of len(terms) bounds.
-func (e *Env) filterTarget(id int64, terms []CPTerm, pred Pred, bs []Bounds, st *Stats) (bool, error) {
+// decide resolves one target's filter decision from its CHI bounds,
+// counting a decided target as accepted or rejected; Unknown defers it
+// to verification. bs is a caller-owned scratch buffer of len(terms)
+// bounds.
+func (e *Env) decide(id int64, terms []CPTerm, pred Pred, bs []Bounds, st *Stats) (Tri, error) {
 	decision := Unknown
 	if len(terms) == 0 {
 		decision = True // metadata-only predicate: nothing to bound or verify
 	} else {
 		chi, err := e.chiFor(id, st)
 		if err != nil {
-			return false, err
+			return Unknown, err
 		}
 		if chi != nil {
 			for t, term := range terms {
@@ -127,17 +128,53 @@ func (e *Env) filterTarget(id int64, terms []CPTerm, pred Pred, bs []Bounds, st 
 	switch decision {
 	case True:
 		st.AcceptedByBounds++
-		return true, nil
 	case False:
 		st.RejectedByBounds++
-		return false, nil
-	default:
-		vals, err := e.verify(id, terms, st)
-		if err != nil {
-			return false, err
-		}
-		return pred.Eval(vals), nil
 	}
+	return decision, nil
+}
+
+// filterTarget resolves one target: decide from CHI bounds when
+// possible, otherwise load and verify.
+func (e *Env) filterTarget(id int64, terms []CPTerm, pred Pred, bs []Bounds, st *Stats) (bool, error) {
+	d, err := e.decide(id, terms, pred, bs, st)
+	if err != nil || d != Unknown {
+		return d == True, err
+	}
+	vals, err := e.verify(id, terms, st)
+	if err != nil {
+		return false, err
+	}
+	return pred.Eval(vals), nil
+}
+
+// FilterDecide resolves every target's filter decision — from CHI
+// bounds when possible, by loading and verifying otherwise — and
+// returns the per-target keep flags in target order. It is Filter
+// without the id assembly, which is the shape a shard node needs (the
+// coordinator reassembles ids so the global result order is the
+// caller's target order). Decisions are independent per target, so
+// sequential and worker-pool execution produce identical flags and
+// stats.
+func FilterDecide(ctx context.Context, env *Env, targets []int64, terms []CPTerm, pred Pred) ([]bool, Stats, error) {
+	if pred == nil {
+		pred = And{}
+	}
+	keep := make([]bool, len(targets))
+	scratch := make([][]Bounds, env.Exec.workers())
+	st, err := forEach(ctx, env, len(targets), func(i int) int64 { return targets[i] }, func(w int, st *Stats, i int) error {
+		if scratch[w] == nil {
+			scratch[w] = make([]Bounds, len(terms))
+		}
+		var err error
+		keep[i], err = env.filterTarget(targets[i], terms, pred, scratch[w], st)
+		return err
+	})
+	st.Targets = len(targets)
+	if err != nil {
+		return nil, st, err
+	}
+	return keep, st, nil
 }
 
 // Streaming chunk sizes: FilterEmit starts small so the first match

@@ -44,6 +44,26 @@ func (t CPTerm) String() string {
 	return fmt.Sprintf("CP(mask, ?, %v)", t.Range)
 }
 
+// RegionKind discriminates the serializable region descriptions.
+type RegionKind int
+
+const (
+	// RegionNone marks a term without a serializable region; such a
+	// term cannot be shipped to a remote node.
+	RegionNone RegionKind = iota
+	// RegionRect is a fixed rectangle (including the full frame).
+	RegionRect
+	// RegionObject is each mask's object bounding box from the
+	// catalog; the node resolves it against its own catalog copy.
+	RegionObject
+)
+
+// RegionSpec is the wire-friendly description of a CPTerm's region.
+type RegionSpec struct {
+	Kind RegionKind `json:"kind"`
+	Rect Rect       `json:"rect"`
+}
+
 // Term indexes into a query's CPTerm slice.
 type Term int
 

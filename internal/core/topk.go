@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -12,24 +11,6 @@ import (
 // unknownHi stands in for the score upper bound of an unindexed mask:
 // it forces the mask into the candidate set so it gets verified.
 const unknownHi = int64(math.MaxInt64 / 4)
-
-// tkCand is one Top-K candidate between the bounds and verification
-// stages.
-type tkCand struct {
-	id    int64
-	b     Bounds
-	known bool
-	score int64
-	// skip marks candidates the parallel engine proved out of the
-	// top k after static pruning (dynamic τ refinement).
-	skip bool
-}
-
-// topkBound fills one candidate from the index.
-func (e *Env) topkBound(id int64, term CPTerm, st *Stats) (tkCand, error) {
-	c, err := e.boundCand(id, term, st)
-	return tkCand{id: c.ID, b: c.B, known: c.Known, score: c.Score}, err
-}
 
 // pruneByBounds is the one static-τ pruning rule every ranking
 // executor (TopK, AggTopK, batch and the distributed coordinator)
@@ -75,17 +56,6 @@ func pruneByBounds[T any, V cmp.Ordered](cands []T, k int, ord Order, lo, hi fun
 	return kept
 }
 
-// topkPrune drops candidates whose bounds provably cannot reach the
-// k-th rank (static τ from the k-th best guaranteed score). Requires
-// 0 < k <= len(cands); it mutates cands in place and returns the
-// survivors.
-func topkPrune(cands []tkCand, k int, ord Order, st *Stats) []tkCand {
-	return pruneByBounds(cands, k, ord,
-		func(c tkCand) int64 { return c.b.Lo },
-		func(c tkCand) int64 { return c.b.Hi },
-		func(tkCand) { st.RejectedByBounds++ })
-}
-
 // TopK ranks targets by the exact value of terms[score] and returns
 // the best k in the requested order (ties break toward smaller ids).
 // CHI bounds prune targets that provably cannot reach the k-th rank;
@@ -96,116 +66,10 @@ func topkPrune(cands []tkCand, k int, ord Order, st *Stats) []tkCand {
 // verification stage may skip (and not load) candidates the
 // sequential engine would have loaded.
 func TopK(ctx context.Context, env *Env, targets []int64, terms []CPTerm, score Term, k int, ord Order) ([]Scored, Stats, error) {
-	if int(score) < 0 || int(score) >= len(terms) {
-		return nil, Stats{}, fmt.Errorf("core: score term T%d out of range (have %d terms)", int(score), len(terms))
+	if err := CheckScore(terms, score); err != nil {
+		return nil, Stats{}, err
 	}
-	if w := env.Exec.workers(); w > 1 && len(targets) >= minParallelTargets {
-		return topkPar(ctx, env, targets, terms, score, k, ord, w)
-	}
-	st := Stats{Targets: len(targets)}
-	cands := make([]tkCand, 0, len(targets))
-	for i, id := range targets {
-		if err := CheckCtx(ctx, i); err != nil {
-			return nil, st, err
-		}
-		c, err := env.topkBound(id, terms[score], &st)
-		if err != nil {
-			return nil, st, err
-		}
-		cands = append(cands, c)
-	}
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = topkPrune(cands, k, ord, &st)
-	out := make([]Scored, 0, len(cands))
-	nv := 0
-	for i := range cands {
-		c := &cands[i]
-		if !c.known {
-			// Poll here too, on a dedicated verification counter (the
-			// candidate index would skip polls whenever bounds-exact
-			// candidates land on the 256-multiples): the verification
-			// loop is where a query spends its time, so cancellation
-			// mid-verification must not wait for the loop to drain.
-			if err := CheckCtx(ctx, nv); err != nil {
-				return nil, st, err
-			}
-			nv++
-			vals, err := env.verify(c.id, terms, &st)
-			if err != nil {
-				return nil, st, err
-			}
-			c.score = vals[score]
-		} else {
-			st.AcceptedByBounds++
-		}
-		out = append(out, Scored{ID: c.id, Score: float64(c.score)})
-	}
-	SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
-}
-
-// gcand is one aggregation-query candidate group.
-type gcand struct {
-	key      int64
-	ids      []int64
-	lo, hi   float64
-	los, his []float64
-	known    []bool
-	exact    []int64
-	vals     []float64
-}
-
-// gcandSkeletons allocates the per-group state, skipping empty groups.
-func gcandSkeletons(groups []Group, st *Stats) []gcand {
-	cands := make([]gcand, 0, len(groups))
-	for _, g := range groups {
-		if len(g.IDs) == 0 {
-			continue
-		}
-		st.Targets += len(g.IDs)
-		cands = append(cands, gcand{
-			key:   g.Key,
-			ids:   g.IDs,
-			los:   make([]float64, len(g.IDs)),
-			his:   make([]float64, len(g.IDs)),
-			known: make([]bool, len(g.IDs)),
-			exact: make([]int64, len(g.IDs)),
-			vals:  make([]float64, len(g.IDs)),
-		})
-	}
-	return cands
-}
-
-// memberBound resolves one group member's score bounds. An unindexed
-// member's upper bound is +Inf (not unknownHi) so the group's
-// aggregate bound stays admissible for every aggregate.
-func (e *Env) memberBound(gc *gcand, i int, term CPTerm, st *Stats) error {
-	c, err := e.boundCand(gc.ids[i], term, st)
-	if err != nil {
-		return err
-	}
-	gc.known[i], gc.exact[i] = c.Known, c.Score
-	gc.los[i] = float64(c.B.Lo)
-	if c.Indexed {
-		gc.his[i] = float64(c.B.Hi)
-	} else {
-		gc.his[i] = math.Inf(1)
-	}
-	return nil
-}
-
-// aggPrune drops groups whose aggregate bounds provably cannot reach
-// the k-th rank. Requires 0 < k <= len(cands).
-func aggPrune(cands []gcand, k int, ord Order, st *Stats) []gcand {
-	return pruneByBounds(cands, k, ord,
-		func(c gcand) float64 { return c.lo },
-		func(c gcand) float64 { return c.hi },
-		func(c gcand) { st.RejectedByBounds += len(c.ids) })
+	return RankTopK(ctx, env.stages(terms, score), targets, k, ord, env.Exec.workers() > 1)
 }
 
 // AggTopK groups masks, aggregates the exact value of terms[score]
@@ -216,61 +80,10 @@ func aggPrune(cands []gcand, k int, ord Order, st *Stats) []gcand {
 // out across goroutines with results and stats identical to the
 // sequential engine.
 func AggTopK(ctx context.Context, env *Env, groups []Group, terms []CPTerm, score Term, agg Agg, k int, ord Order) ([]Scored, Stats, error) {
-	if int(score) < 0 || int(score) >= len(terms) {
-		return nil, Stats{}, fmt.Errorf("core: score term T%d out of range (have %d terms)", int(score), len(terms))
+	if err := CheckScore(terms, score); err != nil {
+		return nil, Stats{}, err
 	}
-	var st Stats
-	cands := gcandSkeletons(groups, &st)
-	if w := env.Exec.workers(); w > 1 && st.Targets >= minParallelTargets {
-		return aggPar(ctx, env, cands, terms, score, agg, k, ord, w, st)
-	}
-	n := 0
-	for gi := range cands {
-		gc := &cands[gi]
-		for i := range gc.ids {
-			if err := CheckCtx(ctx, n); err != nil {
-				return nil, st, err
-			}
-			n++
-			if err := env.memberBound(gc, i, terms[score], &st); err != nil {
-				return nil, st, err
-			}
-		}
-		gc.lo, gc.hi = aggBounds(agg, gc.los, gc.his)
-	}
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = aggPrune(cands, k, ord, &st)
-	out := make([]Scored, 0, len(cands))
-	nv := 0
-	for gi := range cands {
-		gc := &cands[gi]
-		for i, id := range gc.ids {
-			if gc.known[i] {
-				st.AcceptedByBounds++
-				gc.vals[i] = float64(gc.exact[i])
-				continue
-			}
-			// Poll during verification as well, so cancellation does
-			// not wait for every remaining member load.
-			if err := CheckCtx(ctx, nv); err != nil {
-				return nil, st, err
-			}
-			nv++
-			ev, err := env.verify(id, terms, &st)
-			if err != nil {
-				return nil, st, err
-			}
-			gc.vals[i] = float64(ev[score])
-		}
-		out = append(out, Scored{ID: gc.key, Score: AggExact(agg, gc.vals)})
-	}
-	SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
+	return RankAgg(ctx, env.stages(terms, score), groups, agg, k, ord)
 }
 
 // aggBounds folds member bounds into group bounds; every aggregate
@@ -306,6 +119,15 @@ func AggExact(agg Agg, vals []float64) float64 {
 		return out
 	}
 	return 0
+}
+
+// topOf sorts scored results and keeps the best k.
+func topOf(s []Scored, k int, ord Order) []Scored {
+	SortScored(s, ord)
+	if k < len(s) {
+		s = s[:k]
+	}
+	return s
 }
 
 // SortScored orders scored results by score in the given direction,

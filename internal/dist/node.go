@@ -333,6 +333,9 @@ func (n *Node) handleFilter(conn net.Conn, payload []byte) error {
 	if err != nil {
 		return err
 	}
+	if err := checkWirePred(req.Pred, len(terms)); err != nil {
+		return err
+	}
 	ctx, cancel := reqCtx(conn, req.DeadlineMS)
 	defer cancel()
 	keep, st, err := core.FilterDecide(ctx, n.env(), req.IDs, terms, fromWirePred(req.Pred))
@@ -430,9 +433,9 @@ func (n *Node) handleVerify(conn net.Conn, payload []byte) error {
 	ctx, cancel := reqCtx(conn, req.DeadlineMS)
 	defer cancel()
 
-	var gate *core.TauGate
+	var gate *core.Tau
 	if req.Gated {
-		gate = core.NewTauGate(req.Ord)
+		gate = core.NewTau(req.Ord)
 		if req.Tau != nil {
 			gate.Set(*req.Tau)
 		}

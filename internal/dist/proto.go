@@ -89,7 +89,24 @@ func toWirePred(pred core.Pred) ([]wireCmp, error) {
 	}
 }
 
-// fromWirePred rebuilds the engine predicate on the node.
+// checkWirePred rejects a wire predicate the node cannot evaluate: a
+// comparison naming a term outside [0, nterms) or an unknown operator.
+// Without it a malformed request would index past the term values and
+// panic the node.
+func checkWirePred(cs []wireCmp, nterms int) error {
+	for i, c := range cs {
+		if c.T < 0 || int(c.T) >= nterms {
+			return fmt.Errorf("dist: predicate comparison %d names term T%d (have %d terms)", i, int(c.T), nterms)
+		}
+		if c.Op < core.OpGt || c.Op > core.OpLe {
+			return fmt.Errorf("dist: predicate comparison %d has unknown operator %d", i, int(c.Op))
+		}
+	}
+	return nil
+}
+
+// fromWirePred rebuilds the engine predicate on the node; the caller
+// validates it first with checkWirePred.
 func fromWirePred(cs []wireCmp) core.Pred {
 	and := make(core.And, len(cs))
 	for i, c := range cs {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -41,90 +42,19 @@ func (b *bestFirst) Less(i, j int) bool {
 	return x.ID < y.ID
 }
 
-// This file holds the coordinator's query operations. Each mirrors its
-// local executor stage by stage — same bounds rule, same static
-// pruning, same strict-inequality τ skipping, same deterministic final
-// sort — which is the whole byte-identity argument: pruning and
-// skipping are sound (a dropped candidate provably cannot place), so
-// no matter which node verified which candidate, which τ updates
-// landed in time, or whether a hedged or failover attempt answered,
-// the surviving exact scores and the final sorted ranking are
-// identical to single-node execution. Stats are merged from node
-// responses; like the local worker pool, the verification stage's
-// load counts may differ run to run (τ races), never the results.
-
-// gather accumulates streamed verification results across every node
-// and attempt of one verify scatter. It is the τ authority's ledger:
-// each candidate's exact score is recorded AT MOST ONCE — hedged and
-// failover attempts can both stream the same candidate, and a
-// duplicate TauTracker.Add would count one candidate twice and tighten
-// τ beyond what the landed scores justify (an unsound skip). The
-// first landing wins; duplicates are dropped under the lock.
-type gather struct {
-	score   core.Term
-	tracker *core.TauTracker // nil: ungated (aggregation members)
-
-	mu     sync.Mutex
-	landed []bool
-	scores []int64
-	st     core.Stats
-	subs   map[chan struct{}]bool
-}
-
-func newGather(n int, score core.Term, tracker *core.TauTracker) *gather {
-	return &gather{
-		score:   score,
-		tracker: tracker,
-		landed:  make([]bool, n),
-		scores:  make([]int64, n),
-		subs:    make(map[chan struct{}]bool),
-	}
-}
-
-// land records one candidate's exact score, advances τ, and wakes the
-// per-connection τ pushers. Duplicate landings are dropped.
-func (g *gather) land(i int, score int64) {
-	g.mu.Lock()
-	if g.landed[i] {
-		g.mu.Unlock()
-		return
-	}
-	g.landed[i] = true
-	g.scores[i] = score
-	if g.tracker != nil {
-		g.tracker.Add(score)
-	}
-	for ch := range g.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-	g.mu.Unlock()
-}
-
-// merge folds a winning attempt's response stats in.
-func (g *gather) merge(st core.Stats) {
-	g.mu.Lock()
-	g.st.Merge(st)
-	g.mu.Unlock()
-}
-
-// subscribe registers a τ-change wakeup channel for one verify
-// connection's pusher.
-func (g *gather) subscribe() chan struct{} {
-	ch := make(chan struct{}, 1)
-	g.mu.Lock()
-	g.subs[ch] = true
-	g.mu.Unlock()
-	return ch
-}
-
-func (g *gather) unsubscribe(ch chan struct{}) {
-	g.mu.Lock()
-	delete(g.subs, ch)
-	g.mu.Unlock()
-}
+// This file holds the coordinator's query operations. TopK and AggTopK
+// are core's one pipeline (core.RankTopK, core.RankAgg) run on the
+// scatter backend below: remote bounds and remote verification, with
+// the τ exchange, best-first ordering, hedging and the partial-result
+// policy kept inside the backend. Pruning and skipping are sound (a
+// dropped candidate provably cannot place), and the pipeline's ledger
+// keeps each candidate's first landing only, so no matter which node
+// verified which candidate, which τ updates landed in time, or whether
+// a hedged or failover attempt answered, the surviving exact scores
+// and the final sorted ranking are identical to single-node execution.
+// Stats are merged from node responses; like the local worker pool,
+// the verification stage's load counts may differ run to run (τ
+// races), never the results.
 
 // Filter runs the distributed filter stage: targets are partitioned by
 // shard, every shard's keep-flags are computed remotely (FilterDecide)
@@ -236,12 +166,69 @@ func (c *Coordinator) boundsScatter(ctx context.Context, targets []int64, term w
 	return cands, covered, nil
 }
 
-// verifyScatter ships verification items to their shards, streaming
-// exact scores into g (deduplicated per item) as they land. items[i]
-// lands at g index gidx[i]. Gated scatters carry the τ exchange: each
-// connection is seeded with the tracker's current τ and receives
-// pushes as later landings tighten it.
-func (c *Coordinator) verifyScatter(ctx context.Context, items []core.VerifyItem, gidx []int, wterms []wireTerm, ord core.Order, gated bool, g *gather, part *Partial) error {
+// stages is the scatter backend of core's ranking pipeline for one
+// query: bounds and verification run on the shards' nodes.
+func (c *Coordinator) stages(terms []core.CPTerm, score core.Term, ord core.Order, part *Partial) (core.Stages, error) {
+	if err := core.CheckScore(terms, score); err != nil {
+		return core.Stages{}, err
+	}
+	wterms, err := toWireTerms(terms)
+	if err != nil {
+		return core.Stages{}, err
+	}
+	return core.Stages{
+		Bounds: func(ctx context.Context, targets []int64, st *core.Stats) ([]core.CandBound, []bool, error) {
+			return c.boundsScatter(ctx, targets, wterms[score], st, part)
+		},
+		Verify: func(ctx context.Context, items []core.VerifyItem, gate *core.Tau, land func(int, int64), st *core.Stats) error {
+			return c.verifyScatter(ctx, items, wterms, score, ord, gate, land, st, part)
+		},
+	}, nil
+}
+
+// TopK runs core's TopK pipeline on the scatter backend, τ-gated with
+// exchange unless NoTauExchange is set.
+func (c *Coordinator) TopK(ctx context.Context, targets []int64, terms []core.CPTerm, score core.Term, k int, ord core.Order, part *Partial) ([]core.Scored, core.Stats, error) {
+	s, err := c.stages(terms, score, ord, part)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	return core.RankTopK(ctx, s, targets, k, ord, !c.opts.NoTauExchange)
+}
+
+// AggTopK runs core's AggTopK pipeline on the scatter backend. Under
+// the degraded policy a group loses its whole result if any member's
+// shard is missing.
+func (c *Coordinator) AggTopK(ctx context.Context, groups []core.Group, terms []core.CPTerm, score core.Term, agg core.Agg, k int, ord core.Order, part *Partial) ([]core.Scored, core.Stats, error) {
+	s, err := c.stages(terms, score, ord, part)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	return core.RankAgg(ctx, s, groups, agg, k, ord)
+}
+
+// verifyScatter ships verification items to their shards, landing
+// exact scores (land(i, score) for items[i]) as they stream in. A
+// gated scatter carries the τ exchange: items go out best-first, each
+// connection is seeded with the gate's current τ and receives pushes
+// as later landings tighten it.
+func (c *Coordinator) verifyScatter(ctx context.Context, items []core.VerifyItem, wterms []wireTerm, score core.Term, ord core.Order, gate *core.Tau, land func(int, int64), st *core.Stats, part *Partial) error {
+	gidx := make([]int, len(items))
+	for i := range gidx {
+		gidx[i] = i
+	}
+	if gate != nil {
+		items = slices.Clone(items)
+		// Best-first: each shard verifies its strongest candidates (by
+		// guaranteed score) before its long tail, so the first landed
+		// chunks push τ near its final value while the tail is still
+		// unloaded — that is where the exchange's skips come from.
+		// Ordering never changes the answer: scores land by item index
+		// and only provably-unplaceable candidates are skipped.
+		sortBestFirst(items, gidx, ord)
+	}
+	g := &gather{gate: gate, score: score, land: func(i int, s int64) { land(gidx[i], s) },
+		subs: make(map[chan struct{}]bool), st: st}
 	ids := make([]int64, len(items))
 	for i, it := range items {
 		ids[i] = it.ID
@@ -258,13 +245,11 @@ func (c *Coordinator) verifyScatter(ctx context.Context, items []core.VerifyItem
 			defer wg.Done()
 			src := srcIdx[s]
 			shardItems := make([]core.VerifyItem, len(src))
-			l2g := make([]int, len(src))
 			for j, i := range src {
 				shardItems[j] = items[i]
-				l2g[j] = gidx[i]
 			}
 			errs[s] = c.runAttempts(ctx, kindVerify, s, func(actx context.Context, node NodeSpec) (func(), error) {
-				return c.verifyAttempt(actx, node, shardItems, l2g, wterms, ord, gated, g)
+				return c.verifyAttempt(actx, node, shardItems, src, wterms, ord, g)
 			})
 		}(s)
 	}
@@ -272,14 +257,54 @@ func (c *Coordinator) verifyScatter(ctx context.Context, items []core.VerifyItem
 	return resolve(errs, part)
 }
 
+// gather is one verify scatter's shared state across every node and
+// attempt: where scores land, the τ gate, the subscriptions of the
+// per-connection τ pushers it wakes on every landing, and the query
+// stats the winning attempts fold into.
+type gather struct {
+	gate  *core.Tau // nil: ungated
+	score core.Term
+	land  func(i int, score int64)
+
+	mu   sync.Mutex
+	subs map[chan struct{}]bool
+	st   *core.Stats
+}
+
+func (g *gather) wake() {
+	g.mu.Lock()
+	for ch := range g.subs {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	g.mu.Unlock()
+}
+
+func (g *gather) subscribe() chan struct{} {
+	ch := make(chan struct{}, 1)
+	g.mu.Lock()
+	g.subs[ch] = true
+	g.mu.Unlock()
+	return ch
+}
+
+func (g *gather) unsubscribe(ch chan struct{}) {
+	g.mu.Lock()
+	delete(g.subs, ch)
+	g.mu.Unlock()
+}
+
 // verifyAttempt is one node's streaming verify exchange: write the
-// request, push τ updates as the global tracker tightens, land score
-// chunks as they arrive, finish on the terminal frame. Scores land
-// immediately (not in the commit) because τ exchange requires them
-// mid-flight; the gather's per-candidate dedup keeps concurrent hedged
-// attempts sound. The commit only folds the response stats, so a
-// losing attempt never double-counts them.
-func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []core.VerifyItem, l2g []int, wterms []wireTerm, ord core.Order, gated bool, g *gather) (func(), error) {
+// request, push τ updates as the gate tightens, land score chunks as
+// they arrive, finish on the terminal frame. Scores land immediately
+// (not in the commit) because τ exchange requires them mid-flight; the
+// pipeline's ledger keeps only each item's first landing, which keeps
+// concurrent hedged attempts sound. The commit only folds the response
+// stats, so a losing attempt never double-counts them. items[j] is
+// scatter item l2g[j].
+func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []core.VerifyItem, l2g []int, wterms []wireTerm, ord core.Order, g *gather) (func(), error) {
 	conn, err := c.dial(ctx, node)
 	if err != nil {
 		return nil, err
@@ -288,9 +313,10 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 	stop := watchCancel(ctx, conn)
 	defer stop()
 
+	gated := g.gate != nil
 	req := verifyReq{Items: items, Terms: wterms, Ord: ord, Gated: gated, DeadlineMS: deadlineMS(ctx)}
 	if gated {
-		if tau, ok := g.tracker.Threshold(); ok {
+		if tau, ok := g.gate.Threshold(); ok {
 			req.Tau = &tau
 		}
 	}
@@ -302,8 +328,8 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 
 	// τ pusher: the sole writer on this connection after the request.
 	// It wakes on every landing anywhere in the cluster and forwards
-	// the tracker's τ when it changed. A push failure stops pushing
-	// but not the attempt — the node just stops skipping.
+	// the gate's τ when it changed. A push failure stops pushing but
+	// not the attempt — the node just stops skipping.
 	if gated {
 		sub := g.subscribe()
 		defer g.unsubscribe(sub)
@@ -321,7 +347,7 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 					return
 				case <-sub:
 				}
-				tau, ok := g.tracker.Threshold()
+				tau, ok := g.gate.Threshold()
 				if !ok || (haveSent && tau == lastSent) {
 					continue
 				}
@@ -357,13 +383,18 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 				}
 				g.land(l2g[li], chunk.Vals[j][g.score])
 			}
+			if gated {
+				g.wake()
+			}
 		case ftVerifyRes:
 			var res verifyRes
 			if err := json.Unmarshal(payload, &res); err != nil {
 				return nil, fmt.Errorf("dist: decode verify result: %w", err)
 			}
 			return func() {
-				g.merge(res.Stats)
+				g.mu.Lock()
+				g.st.Merge(res.Stats)
+				g.mu.Unlock()
 				c.foldReads(res.Node)
 			}, nil
 		case ftError:
@@ -376,206 +407,4 @@ func (c *Coordinator) verifyAttempt(ctx context.Context, node NodeSpec, items []
 			return nil, fmt.Errorf("dist: unexpected frame type 0x%02x in verify stream", typ)
 		}
 	}
-}
-
-// TopK runs the distributed ranking pipeline: remote bounds, static
-// pruning, τ-gated remote verification with exchange, deterministic
-// final sort. Mirrors core.TopK stage by stage.
-func (c *Coordinator) TopK(ctx context.Context, targets []int64, terms []core.CPTerm, score core.Term, k int, ord core.Order, part *Partial) ([]core.Scored, core.Stats, error) {
-	var st core.Stats
-	if int(score) < 0 || int(score) >= len(terms) {
-		return nil, st, fmt.Errorf("dist: score term T%d out of range (have %d terms)", int(score), len(terms))
-	}
-	wterms, err := toWireTerms(terms)
-	if err != nil {
-		return nil, st, err
-	}
-	cands, covered, err := c.boundsScatter(ctx, targets, wterms[score], &st, part)
-	if err != nil {
-		return nil, st, err
-	}
-	live := cands[:0]
-	for i := range cands {
-		if covered[i] {
-			live = append(live, cands[i])
-		}
-	}
-	cands = live
-	if k <= 0 || k > len(cands) {
-		k = len(cands)
-	}
-	cands = core.PruneCands(cands, k, ord, &st)
-
-	g := newGather(len(cands), score, core.NewTauTracker(k, ord))
-	var items []core.VerifyItem
-	var gidx []int
-	for i, cb := range cands {
-		if cb.Known {
-			st.AcceptedByBounds++
-			g.land(i, cb.Score)
-			continue
-		}
-		items = append(items, core.VerifyItem{ID: cb.ID, B: cb.B})
-		gidx = append(gidx, i)
-	}
-	if len(items) > 0 {
-		// Best-first: each shard verifies its strongest candidates (by
-		// guaranteed score) before its long tail, so the first landed
-		// chunks push the tracker's τ near its final value while the
-		// tail is still unloaded — that is where the exchange's skips
-		// come from. Ordering never changes the answer: the gather
-		// reassembles by index and skips only provably-unplaceable
-		// candidates.
-		sortBestFirst(items, gidx, ord)
-		gated := !c.opts.NoTauExchange
-		if err := c.verifyScatter(ctx, items, gidx, wterms, ord, gated, g, part); err != nil {
-			return nil, st, err
-		}
-	}
-	st.Merge(g.st)
-	out := make([]core.Scored, 0, len(cands))
-	for i := range cands {
-		if g.landed[i] {
-			out = append(out, core.Scored{ID: cands[i].ID, Score: float64(g.scores[i])})
-		}
-	}
-	core.SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
-}
-
-// aggState is one surviving aggregation group mid-pipeline.
-type aggState struct {
-	key   int64
-	ids   []int64
-	cands []core.CandBound
-	vals  []float64
-	need  []int // member indexes awaiting exact verification
-	base  int   // first gather index of need's members
-}
-
-// AggTopK runs the distributed aggregation pipeline: remote member
-// bounds, group-bound pruning, ungated remote verification of every
-// surviving group's unknown members, exact aggregation, deterministic
-// final sort. Mirrors core.AggTopK stage by stage. Under the degraded
-// policy a group loses its whole result if any member's shard is
-// missing (a partial aggregate would be silently wrong, not partial).
-func (c *Coordinator) AggTopK(ctx context.Context, groups []core.Group, terms []core.CPTerm, score core.Term, agg core.Agg, k int, ord core.Order, part *Partial) ([]core.Scored, core.Stats, error) {
-	var st core.Stats
-	if int(score) < 0 || int(score) >= len(terms) {
-		return nil, st, fmt.Errorf("dist: score term T%d out of range (have %d terms)", int(score), len(terms))
-	}
-	wterms, err := toWireTerms(terms)
-	if err != nil {
-		return nil, st, err
-	}
-
-	// Flatten the members of non-empty groups for one bounds scatter.
-	var flat []int64
-	var flatGroup, flatMember []int
-	type groupRef struct {
-		key int64
-		ids []int64
-		off int // offset of the group's members in flat
-	}
-	var refs []groupRef
-	for _, grp := range groups {
-		if len(grp.IDs) == 0 {
-			continue
-		}
-		refs = append(refs, groupRef{key: grp.Key, ids: grp.IDs, off: len(flat)})
-		for mi, id := range grp.IDs {
-			flat = append(flat, id)
-			flatGroup = append(flatGroup, len(refs)-1)
-			flatMember = append(flatMember, mi)
-		}
-	}
-	mcands, covered, err := c.boundsScatter(ctx, flat, wterms[score], &st, part)
-	if err != nil {
-		return nil, st, err
-	}
-
-	// Assemble per-group candidate bounds, dropping groups touched by a
-	// missing shard, and prune on group bounds.
-	states := make([]aggState, 0, len(refs))
-	gbs := make([]core.GroupBound, 0, len(refs))
-	for ri, ref := range refs {
-		ok := true
-		for j := range ref.ids {
-			if !covered[ref.off+j] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		a := aggState{
-			key:   ref.key,
-			ids:   ref.ids,
-			cands: mcands[ref.off : ref.off+len(ref.ids)],
-			vals:  make([]float64, len(ref.ids)),
-		}
-		lo, hi := core.AggMemberBounds(agg, a.cands)
-		states = append(states, a)
-		gbs = append(gbs, core.GroupBound{Key: int64(ri), Lo: lo, Hi: hi, N: len(ref.ids)})
-	}
-	if k <= 0 || k > len(gbs) {
-		k = len(gbs)
-	}
-	gbs = core.PruneGroupBounds(gbs, k, ord, &st)
-
-	// Survivors: known members fill in directly (counted like the local
-	// engine's verification stage), unknown members become verify items.
-	survivors := make([]*aggState, 0, len(gbs))
-	var items []core.VerifyItem
-	var gidx []int
-	nflat := 0
-	for _, gb := range gbs {
-		a := &states[gb.Key]
-		a.base = nflat
-		for mi, cb := range a.cands {
-			if cb.Known {
-				st.AcceptedByBounds++
-				a.vals[mi] = float64(cb.Score)
-				continue
-			}
-			a.need = append(a.need, mi)
-			items = append(items, core.VerifyItem{ID: cb.ID, B: cb.B})
-			gidx = append(gidx, nflat)
-			nflat++
-		}
-		survivors = append(survivors, a)
-	}
-	g := newGather(nflat, score, nil)
-	if len(items) > 0 {
-		if err := c.verifyScatter(ctx, items, gidx, wterms, ord, false, g, part); err != nil {
-			return nil, st, err
-		}
-	}
-	st.Merge(g.st)
-
-	out := make([]core.Scored, 0, len(survivors))
-	for _, a := range survivors {
-		ok := true
-		for j, mi := range a.need {
-			fi := a.base + j
-			if !g.landed[fi] {
-				ok = false
-				break
-			}
-			a.vals[mi] = float64(g.scores[fi])
-		}
-		if !ok {
-			continue
-		}
-		out = append(out, core.Scored{ID: a.key, Score: core.AggExact(agg, a.vals)})
-	}
-	core.SortScored(out, ord)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, st, nil
 }
