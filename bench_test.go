@@ -8,6 +8,7 @@
 //	BenchmarkFigure9_*   — Filter queries reporting FML (time~FML)
 //	BenchmarkFigure10_*  — CHI bound computation at both granularities
 //	BenchmarkFigure11_*  — a multi-query workload under MS / MS-II / NumPy
+//	BenchmarkBounds_*    — the bounds stage alone, in ns per target
 //
 // The benchmarks use reduced dataset sizes (bench.Quick) so the whole
 // suite completes in minutes; cmd/msbench runs the full-size versions.
@@ -212,6 +213,41 @@ func BenchmarkFigure10(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkBounds measures the bounds stage alone: BoundCands over the
+// full wilds index, for a fixed rectangle (cells hoisted into the
+// plan) and for the per-mask object box (cells walked per target).
+// ns/target is the per-target cost.
+func BenchmarkBounds(b *testing.B) {
+	envs := setupBench(b)
+	ctx := context.Background()
+	d := envs["wilds"]
+	idx, err := d.Index(d.SmallConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := &core.Env{Loader: d.Store, Index: idx}
+	ids := d.Cat.MaskIDs(nil)
+	w, h := d.Params.W, d.Params.H
+	rect := core.Rect{X0: w / 8, Y0: h / 8, X1: w - w/8, Y1: h - h/8}
+	vr := core.ValueRange{Lo: 0.6, Hi: 1.0}
+	for _, r := range []struct {
+		name string
+		term core.CPTerm
+	}{
+		{"rect", core.CPTerm{Region: core.FixedRegion(rect), Range: vr, Spec: core.RegionSpec{Kind: core.RegionRect, Rect: rect}}},
+		{"object", core.CPTerm{Region: d.Cat.ObjectROI(), Range: vr, Spec: core.RegionSpec{Kind: core.RegionObject}}},
+	} {
+		b.Run(r.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.BoundCands(ctx, env, ids, r.term); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/target")
+		})
 	}
 }
 

@@ -147,7 +147,7 @@ func (d *DatasetEnv) LargeConfig() core.Config {
 // Index eagerly builds (once per config, then cached) the full CHI
 // index of the dataset, fanning the build across d.Exec's worker
 // pool.
-func (d *DatasetEnv) Index(cfg core.Config) (core.Index, error) {
+func (d *DatasetEnv) Index(cfg core.Config) (*core.MemoryIndex, error) {
 	ncfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -166,7 +166,7 @@ func (d *DatasetEnv) Index(cfg core.Config) (core.Index, error) {
 }
 
 // Env wires an executor environment around a (possibly nil) index.
-func (d *DatasetEnv) Env(ix core.Index) *core.Env {
+func (d *DatasetEnv) Env(ix *core.MemoryIndex) *core.Env {
 	return &core.Env{Loader: d.Store, Index: ix, Exec: d.Exec}
 }
 

@@ -174,13 +174,9 @@ func Dist(ctx context.Context, d *DatasetEnv, dataDir string, thr store.Throttle
 	// and the exchange has nothing to prune. The index never changes
 	// results, only load counts, and sharing one complete index across
 	// nodes and phases keeps every phase's bounds identical.
-	ix, err := d.Index(d.LargeConfig())
+	idx, err := d.Index(d.LargeConfig())
 	if err != nil {
 		return nil, err
-	}
-	idx, ok := ix.(*core.MemoryIndex)
-	if !ok {
-		return nil, fmt.Errorf("bench: dist needs a MemoryIndex, got %T", ix)
 	}
 
 	// Local reference over the same sharded dir: the identity oracle.

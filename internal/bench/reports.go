@@ -179,11 +179,10 @@ func Fig10(d *DatasetEnv, n int, seed int64) (*Report, error) {
 		name string
 		cfg  core.Config
 	}{{"small", d.SmallConfig()}, {"large", d.LargeConfig()}} {
-		ixAny, err := d.Index(gran.cfg)
+		ix, err := d.Index(gran.cfg)
 		if err != nil {
 			return nil, err
 		}
-		ix := ixAny.(*core.MemoryIndex)
 		rng := rand.New(rand.NewSource(seed))
 		vr := core.ValueRange{Lo: 0.6, Hi: 1.0}
 		var slack, area float64
@@ -311,12 +310,11 @@ func Size(d *DatasetEnv) (*Report, error) {
 		cfg  core.Config
 	}{{"small", d.SmallConfig()}, {"large", d.LargeConfig()}} {
 		start := time.Now()
-		ixAny, err := d.Index(gran.cfg)
+		ix, err := d.Index(gran.cfg)
 		if err != nil {
 			return nil, err
 		}
 		buildTime := time.Since(start)
-		ix := ixAny.(*core.MemoryIndex)
 		r.Printf("index %-6s: %d bytes (%.1f%% of data), built in %s (%s/mask)\n",
 			gran.name, ix.SizeBytes(), 100*float64(ix.SizeBytes())/float64(d.Store.DataBytes()),
 			buildTime.Round(time.Millisecond), (buildTime / time.Duration(max(1, n))).Round(time.Microsecond))

@@ -53,9 +53,10 @@ type BatchResult struct {
 
 // bqState carries one query through the batch pipeline.
 type bqState struct {
-	q    BatchQuery
-	pred Pred
-	st   Stats
+	q     BatchQuery
+	pred  Pred
+	plans []boundPlan // the bounded terms' plans: all (filter) or the score term
+	st    Stats
 	// BatchFilter: per-target outcome and which targets the bounds
 	// could not decide.
 	keep  []bool
@@ -111,6 +112,7 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 			s.targets = s.q.Targets
 			s.keep = make([]bool, len(s.targets))
 			s.undec = make([]bool, len(s.targets))
+			s.plans = env.Index.plans(s.q.Terms)
 		case BatchTopK, BatchAgg:
 			if err := CheckScore(s.q.Terms, s.q.Score); err != nil {
 				return nil, fmt.Errorf("core: batch query %d: %w", qi, err)
@@ -120,6 +122,7 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 				s.targets = groupMembers(s.q.Groups)
 			}
 			s.cands = make([]CandBound, len(s.targets))
+			s.plans = env.Index.plans(s.q.Terms[s.q.Score : s.q.Score+1])
 		default:
 			return nil, fmt.Errorf("core: batch query %d: unknown kind %v", qi, s.q.Kind)
 		}
@@ -154,14 +157,13 @@ func ExecBatch(ctx context.Context, env *Env, queries []BatchQuery) ([]BatchResu
 		st := &wstats[w][u.qi]
 		id := s.targets[u.i]
 		if s.q.Kind != BatchFilter {
-			var err error
-			s.cands[u.i], err = env.boundCand(id, s.q.Terms[s.q.Score], st)
-			return err
+			s.cands[u.i] = env.boundCand(id, s.plans, st)
+			return nil
 		}
-		d, err := env.decide(id, s.q.Terms, s.pred, scratch[w][:len(s.q.Terms)], st)
+		d := env.decide(id, s.q.Terms, s.plans, s.pred, scratch[w][:len(s.q.Terms)], st)
 		s.keep[u.i] = d == True
 		s.undec[u.i] = d == Unknown
-		return err
+		return nil
 	})
 	mergeWorkerStats()
 	if err != nil {

@@ -70,7 +70,8 @@ func (b Bounds) Width() int64 { return b.Hi - b.Lo }
 // cell and every edge threshold, the number of pixels in the cell with
 // value >= the threshold. CPBounds combines these suffix-cumulative
 // counts into admissible lower/upper bounds on any CP without touching
-// the mask itself.
+// the mask itself. A MemoryIndex stores only the counts and the
+// ByteBuilt flag of each CHI; the geometry is the index's own.
 type CHI struct {
 	W, H         int
 	CellW, CellH int
@@ -80,6 +81,12 @@ type CHI struct {
 	// Cum[(cy*GW+cx)*len(Edges)+j] = #pixels in cell (cx, cy) with
 	// value >= Edges[j].
 	Cum []int32
+	// ByteBuilt reports that Build counted uint8 pixels (a Bytes or
+	// RLE backing), so only the 256 byte values can occur and range
+	// endpoints resolve against the edges' byte thresholds. A CHI
+	// decoded from a file written before the flag existed reads false
+	// and resolves against the float edges: looser, still admissible.
+	ByteBuilt bool
 }
 
 // Build constructs the CHI of a mask under the given config.
@@ -98,18 +105,19 @@ func Build(m *Mask, cfg Config) (*CHI, error) {
 		W: m.W, H: m.H,
 		CellW: cfg.CellW, CellH: cfg.CellH,
 		GW: gw, GH: gh,
-		Edges: cfg.Edges,
-		Cum:   make([]int32, gw*gh*k),
+		Edges:     cfg.Edges,
+		Cum:       make([]int32, gw*gh*k),
+		ByteBuilt: m.Bytes != nil || m.RLE != nil,
 	}
 	// First accumulate per-bin counts, then suffix-sum each cell.
+	var lut [256]int32 // byte pixels' bins (byteBins)
+	if c.ByteBuilt {
+		byteBins(&lut, cfg.Edges)
+	}
 	if m.Bytes == nil && m.RLE != nil {
-		// Compressed fast path: the same 256-entry LUT as the byte path
-		// below, but whole repeat runs fold through it in one update per
-		// cell they touch — no pixel materialization.
-		var lut [256]int32
-		for b := range lut {
-			lut[b] = int32(binIndex(cfg.Edges, byteVal(b)))
-		}
+		// Compressed fast path: the same LUT as the byte path below, but
+		// whole repeat runs fold through it in one update per cell they
+		// touch — no pixel materialization.
 		accumRLEHistogram(c.Cum, m.RLE, m.W, m.H, cfg.CellW, cfg.CellH, gw, k, &lut)
 	} else if m.Bytes != nil {
 		// Byte-domain fast path: pixels are quantized to 256 levels, so
@@ -118,10 +126,6 @@ func Build(m *Mask, cfg Config) (*CHI, error) {
 		// per-pixel cell division out of the inner loop. byteVal
 		// reproduces the store's decoding exactly, so the resulting CHI
 		// is identical to the float path's.
-		var lut [256]int32
-		for b := range lut {
-			lut[b] = int32(binIndex(cfg.Edges, byteVal(b)))
-		}
 		for y := 0; y < m.H; y++ {
 			rowBase := (y / cfg.CellH) * gw
 			row := m.Bytes[y*m.W : (y+1)*m.W]
@@ -152,6 +156,18 @@ func Build(m *Mask, cfg Config) (*CHI, error) {
 	return c, nil
 }
 
+// byteBins fills lut with every byte's bin — binIndex of its decoded
+// value — in one merge pass over the ascending edges.
+func byteBins(lut *[256]int32, edges []float64) {
+	j := 0
+	for b := range lut {
+		for j+1 < len(edges) && edges[j+1] <= byteVal(b) {
+			j++
+		}
+		lut[b] = int32(j)
+	}
+}
+
 // binIndex returns the largest j with edges[j] <= v (v >= 0).
 func binIndex(edges []float64, v float64) int {
 	i := sort.SearchFloat64s(edges, v)
@@ -161,92 +177,21 @@ func binIndex(edges []float64, v float64) int {
 	return i - 1
 }
 
-// geIdx returns the smallest j with edges[j] >= v, or len(edges).
-func geIdx(edges []float64, v float64) int { return sort.SearchFloat64s(edges, v) }
-
 // Config returns the configuration the index was built with.
 func (c *CHI) Config() Config {
 	return Config{CellW: c.CellW, CellH: c.CellH, Edges: c.Edges}
 }
 
-// SizeBytes estimates the in-memory footprint of the index.
-func (c *CHI) SizeBytes() int64 {
-	return int64(len(c.Cum))*4 + int64(len(c.Edges))*8 + 48
-}
-
 // CPBounds returns admissible bounds on ExactCP(mask, roi, vr) using
-// only the index: Lo <= CP <= Hi always holds. Bounds are exact when
-// the ROI is cell-aligned and both range endpoints are edges (or the
-// range is top-closed at 1.0).
+// only the index: Lo <= CP <= Hi always holds. It is a one-off bound
+// plan over the CHI's own counts, the same rule a MemoryIndex runs
+// per target.
 func (c *CHI) CPBounds(roi Rect, vr ValueRange) Bounds {
-	roi = roi.Intersect(Rect{0, 0, c.W, c.H})
-	if roi.Empty() || vr.IsEmpty() {
-		return Bounds{}
+	g := grid{W: c.W, H: c.H, CellW: c.CellW, CellH: c.CellH, GW: c.GW, GH: c.GH, K: len(c.Edges)}
+	var thr []int
+	if c.ByteBuilt {
+		thr = byteThresholds(c.Edges)
 	}
-	lo := vr.Lo
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > 1 {
-		return Bounds{}
-	}
-	k := len(c.Edges)
-	loLE := binIndex(c.Edges, lo)
-	loGE := geIdx(c.Edges, lo)
-	closedTop := vr.Hi >= 1
-	var hiLE, hiGE int
-	if !closedTop {
-		hiLE = binIndex(c.Edges, vr.Hi)
-		hiGE = geIdx(c.Edges, vr.Hi)
-	}
-
-	var total Bounds
-	cx0, cx1 := roi.X0/c.CellW, (roi.X1-1)/c.CellW
-	cy0, cy1 := roi.Y0/c.CellH, (roi.Y1-1)/c.CellH
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			cell := Rect{
-				cx * c.CellW, cy * c.CellH,
-				min((cx+1)*c.CellW, c.W), min((cy+1)*c.CellH, c.H),
-			}
-			base := (cy*c.GW + cx) * k
-			// count(v >= lo): bracketed by the two nearest edges.
-			geLoU := int64(c.Cum[base+loLE])
-			var geLoL int64
-			if loGE < k {
-				geLoL = int64(c.Cum[base+loGE])
-			}
-			// count(v >= hi): exactly 0 for a top-closed range (no
-			// value exceeds 1.0), otherwise bracketed the same way.
-			var geHiU, geHiL int64
-			if !closedTop {
-				geHiU = int64(c.Cum[base+hiLE])
-				if hiGE < k {
-					geHiL = int64(c.Cum[base+hiGE])
-				}
-			}
-			hi := geLoU - geHiL
-			lo := geLoL - geHiU
-			if lo < 0 {
-				lo = 0
-			}
-			cellArea := int64(cell.Area())
-			ovl := int64(cell.Intersect(roi).Area())
-			if ovl < cellArea {
-				// Boundary cell: at most ovl qualifying pixels lie in
-				// the overlap, and at most cellArea-ovl of the cell's
-				// qualifying pixels can lie outside it.
-				if hi > ovl {
-					hi = ovl
-				}
-				lo -= cellArea - ovl
-				if lo < 0 {
-					lo = 0
-				}
-			}
-			total.Lo += lo
-			total.Hi += hi
-		}
-	}
-	return total
+	p := compilePlan(g, c.Edges, thr, CPTerm{Range: vr, Spec: RegionSpec{Kind: RegionRect, Rect: roi}})
+	return p.bounds(c.Cum, c.ByteBuilt, 0)
 }

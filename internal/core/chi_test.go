@@ -107,6 +107,43 @@ func TestCPBoundsAdmissible(t *testing.T) {
 			}
 		}
 	}
+	// Byte- and RLE-backed masks resolve range endpoints by byte
+	// threshold. Ranges on the workloads' 0.05 grid land some endpoints
+	// on an edge's threshold and leave others between two.
+	for iter := 0; iter < 1000; iter++ {
+		w, h := 4+rng.Intn(37), 4+rng.Intn(37)
+		pix := testPixels(rng, w, h)
+		cfg := randomConfig(rng)
+		for _, m := range []*Mask{{W: w, H: h, Bytes: pix}, {W: w, H: h, RLE: EncodeRLE(pix, w, h)}} {
+			chi, err := Build(m, cfg)
+			if err != nil {
+				t.Fatalf("iter %d: Build: %v", iter, err)
+			}
+			for probe := 0; probe < 8; probe++ {
+				roi := randomROI(rng, w, h)
+				vr := randomVR(rng)
+				if probe%2 == 0 {
+					vr = gridVR(rng)
+				}
+				exact := ExactCP(m, roi, vr)
+				b := chi.CPBounds(roi, vr)
+				if exact < b.Lo || exact > b.Hi || b.Lo < 0 || b.Hi > int64(w*h) {
+					t.Fatalf("iter %d: byte-built CPBounds %v vs exact %d (mask %dx%d rle %v cells %dx%d edges %v roi %v vr %v)",
+						iter, b, exact, w, h, m.RLE != nil, chi.CellW, chi.CellH, chi.Edges, roi, vr)
+				}
+			}
+		}
+	}
+}
+
+// gridVR draws a range the way the workload generators do: lo on the
+// 0.05 grid, top-closed or a band 0.1-0.2 wide.
+func gridVR(rng *rand.Rand) ValueRange {
+	lo := 0.05 * float64(rng.Intn(20))
+	if rng.Intn(2) == 0 {
+		return ValueRange{Lo: lo, Hi: 1.0}
+	}
+	return ValueRange{Lo: lo, Hi: lo + 0.1 + 0.05*float64(rng.Intn(3))}
 }
 
 // TestCPBoundsExactWhenAligned checks that cell-aligned ROIs with
@@ -133,6 +170,51 @@ func TestCPBoundsExactWhenAligned(t *testing.T) {
 		b := chi.CPBounds(roi, vr)
 		if b.Lo != exact || b.Hi != exact {
 			t.Fatalf("aligned bounds not exact: %v vs %d (roi %v vr %v)", b, exact, roi, vr)
+		}
+	}
+	// On a byte-built CHI an endpoint is exact when its byte is an
+	// edge's threshold, even when the float is off the edge: computed
+	// at run time as the workloads do, 0.05*6 = 0.30000000000000004
+	// selects the bytes >= 77, as edge 0.3 does.
+	for iter := 0; iter < 300; iter++ {
+		cw, ch := 2+rng.Intn(6), 2+rng.Intn(6)
+		gw, gh := 1+rng.Intn(5), 1+rng.Intn(5)
+		w, h := cw*gw, ch*gh
+		m := randomByteMask(rng, w, h)
+		chi, err := Build(m, Config{CellW: cw, CellH: ch, Edges: DefaultEdges(10)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cx0, cy0 := rng.Intn(gw), rng.Intn(gh)
+		roi := Rect{
+			cx0 * cw, cy0 * ch,
+			(cx0 + 1 + rng.Intn(gw-cx0)) * cw, (cy0 + 1 + rng.Intn(gh-cy0)) * ch,
+		}
+		for _, step := range []int{6, 12, 14} {
+			vr := ValueRange{Lo: 0.05 * float64(step), Hi: 1.0}
+			exact := ExactCP(m, roi, vr)
+			if b := chi.CPBounds(roi, vr); b.Lo != exact || b.Hi != exact {
+				t.Fatalf("byte-aligned bounds not exact: %v vs %d (roi %v vr %v)", b, exact, roi, vr)
+			}
+		}
+	}
+}
+
+// TestCPBoundsBelowDomain pins a range lying wholly below 0: it
+// selects nothing, on float- and byte-built CHIs alike, and its bounds
+// never read before a cell's first count.
+func TestCPBoundsBelowDomain(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, m := range []*Mask{randomMask(rng, 16, 16), randomByteMask(rng, 16, 16)} {
+		chi, err := Build(m, Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, roi := range []Rect{{0, 0, 16, 16}, {0, 0, 3, 3}, {5, 5, 9, 9}} {
+			vr := ValueRange{Lo: -0.5, Hi: -0.25}
+			if b := chi.CPBounds(roi, vr); b != (Bounds{}) || ExactCP(m, roi, vr) != 0 {
+				t.Fatalf("range %v over %v: bounds %v, exact %d, want 0", vr, roi, b, ExactCP(m, roi, vr))
+			}
 		}
 	}
 }

@@ -286,10 +286,12 @@ func IndexAll(ctx context.Context, loader MaskLoader, ix *MemoryIndex, ids []int
 		if r, ok := loader.(MaskRecycler); ok {
 			r.ReleaseMask(m)
 		}
+		if err == nil {
+			err = ix.Add(id, chi)
+		}
 		if err != nil {
 			return err
 		}
-		ix.Add(id, chi)
 		built.Add(1)
 		return nil
 	})

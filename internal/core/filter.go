@@ -33,13 +33,6 @@ type ShardedLoader interface {
 	ShardOf(id int64) int
 }
 
-// Index resolves the CHI of a mask, returning (nil, nil) when the mask
-// is not indexed (the engine then falls back to verification). Index
-// implementations must be safe for concurrent use.
-type Index interface {
-	ChiFor(id int64) (*CHI, error)
-}
-
 // Env wires an executor to its storage and index. OnVerify, when set,
 // observes every mask loaded during verification; the incremental
 // indexing mode (§3.6) points it at MemoryIndex.Observe so future
@@ -48,7 +41,7 @@ type Index interface {
 // the pool is enabled.
 type Env struct {
 	Loader   MaskLoader
-	Index    Index
+	Index    *MemoryIndex
 	OnVerify func(id int64, m *Mask)
 	Exec     Exec
 }
@@ -77,19 +70,22 @@ func (e *Env) verify(id int64, terms []CPTerm, st *Stats) ([]int64, error) {
 	return vals, nil
 }
 
-// chiFor looks up the CHI for id, tolerating a nil index.
-func (e *Env) chiFor(id int64, st *Stats) (*CHI, error) {
-	if e.Index == nil {
-		return nil, nil
+// termBounds evaluates one target's compiled term plans into bs,
+// counting an index hit; it reports false, leaving bs alone, when the
+// target is not indexed.
+func (e *Env) termBounds(id int64, plans []boundPlan, bs []Bounds, st *Stats) bool {
+	if plans == nil {
+		return false
 	}
-	chi, err := e.Index.ChiFor(id)
-	if err != nil {
-		return nil, err
+	cum, byteBuilt, ok := e.Index.counts(id)
+	if !ok {
+		return false
 	}
-	if chi != nil {
-		st.IndexHits++
+	st.IndexHits++
+	for t := range plans {
+		bs[t] = plans[t].bounds(cum, byteBuilt, id)
 	}
-	return chi, nil
+	return true
 }
 
 // CheckCtx polls for cancellation every 256th iteration; executors
@@ -107,23 +103,14 @@ func CheckCtx(ctx context.Context, i int) error {
 
 // decide resolves one target's filter decision from its CHI bounds,
 // counting a decided target as accepted or rejected; Unknown defers it
-// to verification. bs is a caller-owned scratch buffer of len(terms)
-// bounds.
-func (e *Env) decide(id int64, terms []CPTerm, pred Pred, bs []Bounds, st *Stats) (Tri, error) {
+// to verification. plans are the terms' bound plans (Env.Index.plans)
+// and bs a caller-owned scratch buffer of len(terms) bounds.
+func (e *Env) decide(id int64, terms []CPTerm, plans []boundPlan, pred Pred, bs []Bounds, st *Stats) Tri {
 	decision := Unknown
 	if len(terms) == 0 {
 		decision = True // metadata-only predicate: nothing to bound or verify
-	} else {
-		chi, err := e.chiFor(id, st)
-		if err != nil {
-			return Unknown, err
-		}
-		if chi != nil {
-			for t, term := range terms {
-				bs[t] = term.BoundsFrom(chi, id)
-			}
-			decision = pred.FromBounds(bs)
-		}
+	} else if e.termBounds(id, plans, bs, st) {
+		decision = pred.FromBounds(bs)
 	}
 	switch decision {
 	case True:
@@ -131,15 +118,14 @@ func (e *Env) decide(id int64, terms []CPTerm, pred Pred, bs []Bounds, st *Stats
 	case False:
 		st.RejectedByBounds++
 	}
-	return decision, nil
+	return decision
 }
 
 // filterTarget resolves one target: decide from CHI bounds when
 // possible, otherwise load and verify.
-func (e *Env) filterTarget(id int64, terms []CPTerm, pred Pred, bs []Bounds, st *Stats) (bool, error) {
-	d, err := e.decide(id, terms, pred, bs, st)
-	if err != nil || d != Unknown {
-		return d == True, err
+func (e *Env) filterTarget(id int64, terms []CPTerm, plans []boundPlan, pred Pred, bs []Bounds, st *Stats) (bool, error) {
+	if d := e.decide(id, terms, plans, pred, bs, st); d != Unknown {
+		return d == True, nil
 	}
 	vals, err := e.verify(id, terms, st)
 	if err != nil {
@@ -161,13 +147,14 @@ func FilterDecide(ctx context.Context, env *Env, targets []int64, terms []CPTerm
 		pred = And{}
 	}
 	keep := make([]bool, len(targets))
+	plans := env.Index.plans(terms)
 	scratch := make([][]Bounds, env.Exec.workers())
 	st, err := forEach(ctx, env, len(targets), func(i int) int64 { return targets[i] }, func(w int, st *Stats, i int) error {
 		if scratch[w] == nil {
 			scratch[w] = make([]Bounds, len(terms))
 		}
 		var err error
-		keep[i], err = env.filterTarget(targets[i], terms, pred, scratch[w], st)
+		keep[i], err = env.filterTarget(targets[i], terms, plans, pred, scratch[w], st)
 		return err
 	})
 	st.Targets = len(targets)

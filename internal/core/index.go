@@ -4,42 +4,225 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
-// MemoryIndex is a thread-safe in-memory CHI collection. It serves
-// both the eager ("vanilla MaskSearch") mode, where every mask is
-// indexed up front, and the incremental mode (§3.6), where Observe
-// grows the index as queries verify masks.
+// Slot states. A slot is written once: a writer claims it by moving
+// it from slotAbsent to slotWriting, fills its counts, then publishes
+// it as float- or byte-built. Readers treat every other state as
+// absent.
+const (
+	slotAbsent uint32 = iota
+	slotWriting
+	slotFloat
+	slotBytes
+)
+
+const (
+	// chunkShift sets the slots per chunk (64).
+	chunkShift = 6
+	chunkSlots = 1 << chunkShift
+	// maxIndexID bounds the ids an index holds: the chunk directory
+	// spans the largest id, so this caps it at 1M entries. Other ids
+	// are never indexed and fall back to verification.
+	maxIndexID = 1 << 26
+)
+
+// chunk holds the counts of chunkSlots consecutive ids.
+type chunk struct {
+	state [chunkSlots]atomic.Uint32
+	cum   []int32
+}
+
+// arena is one published chunk directory. Its grid is fixed by the
+// first CHI the index stores.
+type arena struct {
+	g      grid
+	chunks []atomic.Pointer[chunk]
+}
+
+// MemoryIndex is the in-memory CHI collection: the counts of every
+// indexed mask in fixed-size, id-indexed chunks over one grid, with
+// reads that take no lock. It serves both the eager ("vanilla
+// MaskSearch") mode, where every mask is indexed up front, and the
+// incremental mode (§3.6), where Observe grows the index as queries
+// verify masks. A nil *MemoryIndex is an empty index.
 type MemoryIndex struct {
-	mu   sync.RWMutex
-	cfg  Config
-	chis map[int64]*CHI
+	cfg    Config
+	cfgErr error // why cfg cannot index anything
+	thr    []int // byte threshold of each edge
+	mu     sync.Mutex
+	dir    atomic.Pointer[arena] // replaced, under mu, only to grow
+	n      atomic.Int64
 }
 
 // NewMemoryIndex returns an empty index that builds CHIs with cfg.
 func NewMemoryIndex(cfg Config) *MemoryIndex {
-	if n, err := cfg.Normalize(); err == nil {
+	n, err := cfg.Normalize()
+	if err == nil {
 		cfg = n
 	}
-	return &MemoryIndex{cfg: cfg, chis: make(map[int64]*CHI)}
+	return &MemoryIndex{cfg: cfg, cfgErr: err, thr: byteThresholds(cfg.Edges)}
 }
 
 // Config returns the build configuration of the index.
 func (ix *MemoryIndex) Config() Config { return ix.cfg }
 
-// ChiFor returns the CHI for id, or (nil, nil) when not indexed.
-func (ix *MemoryIndex) ChiFor(id int64) (*CHI, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.chis[id], nil
+// counts returns id's counts and whether they were byte-built; ok is
+// false when id is not indexed.
+func (ix *MemoryIndex) counts(id int64) (cum []int32, byteBuilt, ok bool) {
+	if ix == nil {
+		return nil, false, false
+	}
+	a := ix.dir.Load()
+	if a == nil || id < 0 || id>>chunkShift >= int64(len(a.chunks)) {
+		return nil, false, false
+	}
+	c := a.chunks[id>>chunkShift].Load()
+	if c == nil {
+		return nil, false, false
+	}
+	s := c.state[id&(chunkSlots-1)].Load()
+	if s != slotFloat && s != slotBytes {
+		return nil, false, false
+	}
+	n := a.g.slotLen()
+	off := int(id&(chunkSlots-1)) * n
+	return c.cum[off : off+n : off+n], s == slotBytes, true
 }
 
-// Add stores a prebuilt CHI for id, replacing any existing entry.
-func (ix *MemoryIndex) Add(id int64, chi *CHI) {
+// plans compiles one bound plan per term against the index's grid. It
+// returns nil when the index holds no CHI yet: every target is then
+// unindexed for the stage call that asked.
+func (ix *MemoryIndex) plans(terms []CPTerm) []boundPlan {
+	if ix == nil {
+		return nil
+	}
+	a := ix.dir.Load()
+	if a == nil {
+		return nil
+	}
+	out := make([]boundPlan, len(terms))
+	for i, t := range terms {
+		out[i] = compilePlan(a.g, ix.cfg.Edges, ix.thr, t)
+	}
+	return out
+}
+
+// ChiFor returns a read-only view of id's CHI, or (nil, nil) when id
+// is not indexed. The view's Cum aliases the index.
+func (ix *MemoryIndex) ChiFor(id int64) (*CHI, error) {
+	cum, byteBuilt, ok := ix.counts(id)
+	if !ok {
+		return nil, nil
+	}
+	g := ix.dir.Load().g
+	return &CHI{
+		W: g.W, H: g.H, CellW: g.CellW, CellH: g.CellH, GW: g.GW, GH: g.GH,
+		Edges: ix.cfg.Edges, Cum: cum, ByteBuilt: byteBuilt,
+	}, nil
+}
+
+// check validates chi for the index and returns its grid: the
+// index's config, a consistent geometry, and per cell counts that
+// start at the cell area and never increase along the edges.
+func (ix *MemoryIndex) check(chi *CHI) (grid, error) {
+	if ix.cfgErr != nil {
+		return grid{}, ix.cfgErr
+	}
+	if chi == nil {
+		return grid{}, fmt.Errorf("core: nil CHI")
+	}
+	if chi.CellW != ix.cfg.CellW || chi.CellH != ix.cfg.CellH || !slices.Equal(chi.Edges, ix.cfg.Edges) {
+		return grid{}, fmt.Errorf("core: CHI config %s does not match the index's %s", chi.Config().Key(), ix.cfg.Key())
+	}
+	if chi.W <= 0 || chi.H <= 0 || int64(chi.W)*int64(chi.H) > math.MaxInt32 {
+		return grid{}, fmt.Errorf("core: CHI of a %dx%d mask", chi.W, chi.H)
+	}
+	g := gridOf(chi.W, chi.H, ix.cfg)
+	if chi.GW != g.GW || chi.GH != g.GH || len(chi.Cum) != g.slotLen() {
+		return grid{}, fmt.Errorf("core: CHI of a %dx%d mask has a %dx%d grid and %d counts, want %dx%d and %d",
+			chi.W, chi.H, chi.GW, chi.GH, len(chi.Cum), g.GW, g.GH, g.slotLen())
+	}
+	for cell := 0; cell < g.GW*g.GH; cell++ {
+		row := chi.Cum[cell*g.K : (cell+1)*g.K]
+		if area := g.cellRect(cell%g.GW, cell/g.GW).Area(); int(row[0]) != area {
+			return grid{}, fmt.Errorf("core: CHI cell %d counts %d pixels, want its area %d", cell, row[0], area)
+		}
+		for j := 1; j < g.K; j++ {
+			if row[j] > row[j-1] || row[j] < 0 {
+				return grid{}, fmt.Errorf("core: CHI cell %d count %d at edge %d after %d", cell, row[j], j, row[j-1])
+			}
+		}
+	}
+	return g, nil
+}
+
+// Add stores a prebuilt CHI for id after validating it (see check).
+// Adding an id that is already indexed is a no-op: Build is
+// deterministic, so the stored counts are already chi's. An id
+// outside [0, 2^26) is not indexed, and its queries verify instead.
+func (ix *MemoryIndex) Add(id int64, chi *CHI) error {
+	g, err := ix.check(chi)
+	if err != nil {
+		return err
+	}
+	if id < 0 || id >= maxIndexID {
+		return fmt.Errorf("core: mask id %d outside the index's [0, %d)", id, maxIndexID)
+	}
+	c, err := ix.chunk(id, g)
+	if err != nil {
+		return err
+	}
+	st := &c.state[id&(chunkSlots-1)]
+	if !st.CompareAndSwap(slotAbsent, slotWriting) {
+		return nil
+	}
+	n := g.slotLen()
+	copy(c.cum[int(id&(chunkSlots-1))*n:][:n], chi.Cum)
+	if chi.ByteBuilt {
+		st.Store(slotBytes)
+	} else {
+		st.Store(slotFloat)
+	}
+	ix.n.Add(1)
+	return nil
+}
+
+// chunk returns the chunk holding id, allocating it (and growing the
+// directory) under mu when it does not exist yet.
+func (ix *MemoryIndex) chunk(id int64, g grid) (*chunk, error) {
+	ci := int(id >> chunkShift)
+	if a := ix.dir.Load(); a != nil && a.g == g && ci < len(a.chunks) {
+		if c := a.chunks[ci].Load(); c != nil {
+			return c, nil
+		}
+	}
 	ix.mu.Lock()
-	ix.chis[id] = chi
-	ix.mu.Unlock()
+	defer ix.mu.Unlock()
+	a := ix.dir.Load()
+	if a == nil {
+		a = &arena{g: g}
+	} else if a.g != g {
+		return nil, fmt.Errorf("core: CHI of a %dx%d mask in an index of %dx%d masks", g.W, g.H, a.g.W, a.g.H)
+	}
+	if ci >= len(a.chunks) {
+		grown := &arena{g: g, chunks: make([]atomic.Pointer[chunk], max(ci+1, 2*len(a.chunks)))}
+		for i := range a.chunks {
+			grown.chunks[i].Store(a.chunks[i].Load())
+		}
+		a = grown
+	}
+	c := a.chunks[ci].Load()
+	if c == nil {
+		c = &chunk{cum: make([]int32, chunkSlots*g.slotLen())}
+		a.chunks[ci].Store(c)
+	}
+	ix.dir.Store(a)
+	return c, nil
 }
 
 // Observe indexes a mask that a query just loaded, if it is not
@@ -48,42 +231,51 @@ func (ix *MemoryIndex) Add(id int64, chi *CHI) {
 // is fully built before it returns, so the engine may recycle the
 // mask's buffers immediately afterwards.
 //
-// The check-then-build sequence is deliberately not atomic: two
-// goroutines observing the same unindexed mask may both build its
-// CHI and the last Add wins. That race is benign — both builds
-// produce the identical index entry (Build is deterministic in m and
-// cfg) — and keeping Build outside the lock means a slow build never
-// blocks concurrent ChiFor readers.
+// Two goroutines observing the same unindexed mask may both build its
+// CHI; the first to claim the slot stores it and the other's Add is a
+// no-op. Both builds are identical, and Build runs outside any lock,
+// so a slow build never blocks a reader.
 func (ix *MemoryIndex) Observe(id int64, m *Mask) {
-	ix.mu.RLock()
-	_, ok := ix.chis[id]
-	ix.mu.RUnlock()
-	if ok {
+	if _, _, ok := ix.counts(id); ok {
 		return
 	}
 	chi, err := Build(m, ix.cfg)
 	if err != nil {
 		return
 	}
-	ix.Add(id, chi)
+	_ = ix.Add(id, chi) // a mask the index cannot hold stays unindexed
 }
 
 // Len returns the number of indexed masks.
-func (ix *MemoryIndex) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.chis)
+func (ix *MemoryIndex) Len() int { return int(ix.n.Load()) }
+
+// SizeBytes is the index footprint: the counts of every indexed mask
+// plus one copy of the config.
+func (ix *MemoryIndex) SizeBytes() int64 {
+	var slot int64
+	if a := ix.dir.Load(); a != nil {
+		slot = int64(a.g.slotLen()) * 4
+	}
+	return ix.n.Load()*slot + int64(len(ix.cfg.Edges))*8 + 16
 }
 
-// SizeBytes estimates the index footprint.
-func (ix *MemoryIndex) SizeBytes() int64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var n int64
-	for _, c := range ix.chis {
-		n += c.SizeBytes()
+// ids returns the indexed ids in ascending order.
+func (ix *MemoryIndex) ids() []int64 {
+	var out []int64
+	if a := ix.dir.Load(); a != nil {
+		for ci := range a.chunks {
+			c := a.chunks[ci].Load()
+			if c == nil {
+				continue
+			}
+			for i := range c.state {
+				if s := c.state[i].Load(); s == slotFloat || s == slotBytes {
+					out = append(out, int64(ci)<<chunkShift|int64(i))
+				}
+			}
+		}
 	}
-	return n
+	return out
 }
 
 // indexFile is the gob persistence envelope.
@@ -95,19 +287,32 @@ type indexFile struct {
 // Encode serializes the index so it can be reloaded with
 // ReadMemoryIndex (the DB facade persists to <db>/chi.gob).
 func (ix *MemoryIndex) Encode(w io.Writer) error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return gob.NewEncoder(w).Encode(indexFile{Cfg: ix.cfg, Chis: ix.chis})
+	chis := make(map[int64]*CHI, ix.Len())
+	for _, id := range ix.ids() {
+		chis[id], _ = ix.ChiFor(id)
+	}
+	return gob.NewEncoder(w).Encode(indexFile{Cfg: ix.cfg, Chis: chis})
 }
 
-// ReadMemoryIndex reloads an index serialized by Encode.
+// ReadMemoryIndex reloads an index serialized by Encode. Every CHI is
+// validated (see Add) before it enters the index; one that fails
+// fails the whole read, because a corrupt count could make bounds
+// inadmissible and answers silently wrong.
 func ReadMemoryIndex(r io.Reader) (*MemoryIndex, error) {
 	var f indexFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("core: decode index: %w", err)
 	}
-	if f.Chis == nil {
-		f.Chis = make(map[int64]*CHI)
+	ix := NewMemoryIndex(f.Cfg)
+	ids := make([]int64, 0, len(f.Chis))
+	for id := range f.Chis {
+		ids = append(ids, id)
 	}
-	return &MemoryIndex{cfg: f.Cfg, chis: f.Chis}, nil
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := ix.Add(id, f.Chis[id]); err != nil {
+			return nil, fmt.Errorf("core: index entry %d: %w", id, err)
+		}
+	}
+	return ix, nil
 }

@@ -33,33 +33,29 @@ type CandBound struct {
 	Indexed bool   `json:"indexed,omitempty"`
 }
 
-// boundCand resolves one candidate's score bounds from the index; it
-// is the single bounds rule of TopK, AggTopK, ExecBatch and the
-// distributed bounds service.
-func (e *Env) boundCand(id int64, term CPTerm, st *Stats) (CandBound, error) {
+// boundCand resolves one candidate's score bounds from its term's
+// bound plan (a one-element Env.Index.plans); it is the single bounds
+// rule of TopK, AggTopK, ExecBatch and the distributed bounds service.
+func (e *Env) boundCand(id int64, plan []boundPlan, st *Stats) CandBound {
 	c := CandBound{ID: id, B: Bounds{Lo: 0, Hi: unknownHi}}
-	chi, err := e.chiFor(id, st)
-	if err != nil {
-		return c, err
-	}
-	if chi != nil {
-		c.Indexed = true
-		c.B = term.BoundsFrom(chi, id)
+	var b [1]Bounds
+	if e.termBounds(id, plan, b[:], st) {
+		c.Indexed, c.B = true, b[0]
 		if c.B.Lo == c.B.Hi {
 			c.Known, c.Score = true, c.B.Lo
 		}
 	}
-	return c, nil
+	return c
 }
 
 // BoundCands resolves every target's score bounds (the TopK bounds
 // stage, and the member-bounds stage of AggTopK) in target order.
 func BoundCands(ctx context.Context, env *Env, targets []int64, term CPTerm) ([]CandBound, Stats, error) {
 	out := make([]CandBound, len(targets))
+	plan := env.Index.plans([]CPTerm{term})
 	st, err := forEach(ctx, env, len(targets), nil, func(_ int, st *Stats, i int) error {
-		var err error
-		out[i], err = env.boundCand(targets[i], term, st)
-		return err
+		out[i] = env.boundCand(targets[i], plan, st)
+		return nil
 	})
 	st.Targets = len(targets)
 	if err != nil {

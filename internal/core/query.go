@@ -34,9 +34,6 @@ type CPTerm struct {
 // Eval computes the exact CP of the term against a loaded mask.
 func (t CPTerm) Eval(id int64, m *Mask) int64 { return ExactCP(m, t.Region(id), t.Range) }
 
-// BoundsFrom computes the term's CP bounds from a CHI.
-func (t CPTerm) BoundsFrom(chi *CHI, id int64) Bounds { return chi.CPBounds(t.Region(id), t.Range) }
-
 func (t CPTerm) String() string {
 	if t.Name != "" {
 		return t.Name

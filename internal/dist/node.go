@@ -236,10 +236,15 @@ func (n *Node) checkOwned(ids []int64) error {
 	return nil
 }
 
-// fromWireTerms reconstructs engine terms against this node's catalog.
+// fromWireTerms reconstructs engine terms against this node's catalog,
+// rejecting value ranges outside [0, 1].
 func (n *Node) fromWireTerms(wts []wireTerm) ([]core.CPTerm, error) {
 	out := make([]core.CPTerm, len(wts))
 	for i, wt := range wts {
+		// The SQL domain; the negated test also rejects NaN.
+		if r := wt.Range; !(r.Lo >= 0 && r.Lo <= 1 && r.Hi >= 0 && r.Hi <= 1) {
+			return nil, fmt.Errorf("dist: term %d value range %v outside [0, 1]", i, r)
+		}
 		t := core.CPTerm{Name: wt.Name, Range: wt.Range, Spec: wt.Spec}
 		switch wt.Spec.Kind {
 		case core.RegionRect:

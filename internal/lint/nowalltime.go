@@ -6,13 +6,13 @@ import (
 )
 
 // hotKernelFiles are the internal/core files holding the byte-domain
-// kernels (SWAR ExactCP, RLE run walkers, CHI build) and the per-item
-// stage bodies of the filter–verification pipeline (the filter
-// decision, the candidate bound, verify-and-land). The stage runner in
-// exec.go stays out of scope: stage timing belongs there. A wall-clock
-// read in these files is either stats timing that belongs at the
-// executor boundary or an accidental syscall in a loop that runs
-// millions of times per query.
+// kernels (SWAR ExactCP, RLE run walkers, CHI build), the bound plans
+// and the index arena they read, and the per-item stage bodies of the
+// filter–verification pipeline (the filter decision, the candidate
+// bound, verify-and-land). The stage runner in exec.go stays out of
+// scope: stage timing belongs there. A wall-clock read in these files
+// is either stats timing that belongs at the executor boundary or an
+// accidental syscall in a loop that runs millions of times per query.
 var hotKernelFiles = map[string]bool{
 	"mask.go":     true,
 	"rle.go":      true,
@@ -20,6 +20,8 @@ var hotKernelFiles = map[string]bool{
 	"filter.go":   true,
 	"topk.go":     true,
 	"pipeline.go": true,
+	"bounds.go":   true,
+	"index.go":    true,
 }
 
 // NoWallTime flags time.Now and time.Since in the hot kernel files of
