@@ -300,9 +300,8 @@ func BenchmarkFigure11(b *testing.B) {
 }
 
 // BenchmarkCHIBuild measures index construction cost per mask, the
-// quantity amortized by incremental indexing (§3.6). The byte variant
-// is the LUT-based kernel used for store-loaded masks; float is the
-// per-pixel binary-search path.
+// quantity amortized by incremental indexing (§3.6), on a store-loaded
+// byte-backed mask.
 func BenchmarkCHIBuild(b *testing.B) {
 	envs := setupBench(b)
 	for _, name := range []string{"wilds", "imagenet"} {
@@ -311,23 +310,18 @@ func BenchmarkCHIBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, v := range []struct {
-			kernel string
-			m      *core.Mask
-		}{{"byte", m}, {"float", m.ToFloat()}} {
-			b.Run(name+"/"+v.kernel, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Build(v.m, d.SmallConfig()); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(name+"/byte", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Build(m, d.SmallConfig()); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkExactCP measures the verification-stage kernel: the
-// byte-domain fast path against the float64 comparison loop.
+// BenchmarkExactCP measures the verification-stage kernel on a
+// store-loaded byte-backed mask.
 func BenchmarkExactCP(b *testing.B) {
 	envs := setupBench(b)
 	d := envs["wilds"]
@@ -340,16 +334,11 @@ func BenchmarkExactCP(b *testing.B) {
 		name string
 		vr   masksearch.ValueRange
 	}{{"top", masksearch.ValueRange{Lo: 0.6, Hi: 1.0}}, {"band", masksearch.ValueRange{Lo: 0.3, Hi: 0.6}}} {
-		for _, v := range []struct {
-			kernel string
-			m      *core.Mask
-		}{{"byte", m}, {"float", m.ToFloat()}} {
-			b.Run(r.name+"/"+v.kernel, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = masksearch.CP(v.m, roi, r.vr)
-				}
-			})
-		}
+		b.Run(r.name+"/byte", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = masksearch.CP(m, roi, r.vr)
+			}
+		})
 	}
 }
 

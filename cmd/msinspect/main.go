@@ -282,8 +282,8 @@ func inspectMask(db *masksearch.DB, id int64, lo, hi float64, renderW int) {
 
 func histogram16(m *masksearch.Mask) []int {
 	h := make([]int, 16)
-	for _, v := range m.ToFloat().Pix {
-		i := int(v * 16)
+	for _, b := range m.Decoded().Bytes {
+		i := int(float32(b) / 255 * 16)
 		if i > 15 {
 			i = 15
 		}

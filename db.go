@@ -811,7 +811,13 @@ func (db *DB) QueryBatch(ctx context.Context, sqls []string, opts ...QueryOpt) (
 	return db.execBatch(ctx, env, plans, qo)
 }
 
-// run executes a bound plan under the resolved per-query options.
+// run executes a bound plan under the resolved per-query options. On
+// a distributed DB the metadata work (snapshot, target selection,
+// LIMIT 0, the metadata-only fast path) stays local and every
+// mask-touching stage runs through the coordinator; results are
+// byte-identical to local execution, and only Stats load counts may
+// differ (they depend on τ-update timing, like Options.Workers
+// locally).
 func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error) {
 	env, err := db.envFor(qo)
 	if err != nil {
@@ -835,29 +841,32 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 		if err := db.checkDistOpts(qo); err != nil {
 			return nil, err
 		}
-		if p.kind == planFilter && len(p.filterTerms) == 0 {
-			// Metadata-only predicate: the catalog already answered it
-			// locally; nothing to ship.
-			res.IDs = targets
-			res.Stats.Targets = len(targets)
-			if p.k > 0 && len(res.IDs) > p.k {
-				res.IDs = res.IDs[:p.k]
-			}
-			return res, nil
-		}
-		return db.runDist(ctx, p, qo, res, targets, view, nConsidered)
 	}
 	if qo.eagerBounds {
 		if err := db.ensureBounds(ctx, env, targets); err != nil {
 			return nil, err
 		}
 	}
+	if p.kind == planFilter && len(p.filterTerms) == 0 {
+		// Metadata-only predicate: the catalog already answered it.
+		res.IDs = targets
+		res.Stats.Targets = len(targets)
+		if p.k > 0 && len(res.IDs) > p.k {
+			res.IDs = res.IDs[:p.k]
+		}
+		return res, nil
+	}
+	var part *dist.Partial
+	if db.coord != nil && qo.degradedOK {
+		part = db.coord.NewPartial()
+	}
+	stages := db.stages(ctx, env, p, part)
 
 	// A WHERE clause with CP predicates in front of a ranking plan
 	// runs as a filter stage first.
 	prefiltered := false
 	if p.kind != planFilter && len(p.filterTerms) > 0 {
-		ids, st, err := core.Filter(ctx, env, targets, p.filterTerms, p.pred)
+		ids, st, err := stages.filter(targets)
 		if err != nil {
 			return nil, err
 		}
@@ -868,16 +877,16 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 
 	switch p.kind {
 	case planFilter:
-		if len(p.filterTerms) == 0 {
-			// Metadata-only predicate: the catalog already answered it.
-			res.IDs = targets
-			res.Stats.Targets = len(targets)
-		} else if p.k > 0 {
+		if p.k > 0 && db.coord == nil {
 			if err := db.filterLimited(ctx, env, p, targets, res); err != nil {
 				return nil, err
 			}
 		} else {
-			ids, st, err := core.Filter(ctx, env, targets, p.filterTerms, p.pred)
+			// A distributed LIMIT'd filter computes the full answer and
+			// truncates: the scatter already parallelized the scan across
+			// nodes, and filterLimited's early exit is a local
+			// I/O-ordering trick that does not translate to remote shards.
+			ids, st, err := stages.filter(targets)
 			if err != nil {
 				return nil, err
 			}
@@ -888,15 +897,14 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 			res.IDs = res.IDs[:p.k]
 		}
 	case planTopK:
-		ranked, st, err := core.TopK(ctx, env, targets, p.scoreTerms, 0, p.k, p.order)
+		ranked, st, err := stages.topK(targets)
 		if err != nil {
 			return nil, err
 		}
 		res.Stats.Merge(st)
 		res.Ranked = ranked
 	case planAgg:
-		groups := groupTargets(view, p, targets)
-		ranked, st, err := core.AggTopK(ctx, env, groups, p.scoreTerms, 0, p.agg, p.k, p.order)
+		ranked, st, err := stages.agg(groupTargets(view, p, targets))
 		if err != nil {
 			return nil, err
 		}
@@ -910,7 +918,49 @@ func (db *DB) run(ctx context.Context, p *plan, qo queryOptions) (*Result, error
 		// considered each candidate mask once.
 		res.Stats.Targets = nConsidered
 	}
+	if part != nil && part.Degraded() {
+		res.Degraded = true
+		res.MissingShards = part.Missing()
+	}
 	return res, nil
+}
+
+// queryStages are the mask-touching stage calls of one query, bound
+// to its plan.
+type queryStages struct {
+	filter func(targets []int64) ([]int64, core.Stats, error)
+	topK   func(targets []int64) ([]core.Scored, core.Stats, error)
+	agg    func(groups []core.Group) ([]core.Scored, core.Stats, error)
+}
+
+// stages picks p's stage calls: the local executors over env, or on a
+// distributed DB the coordinator's scatters, which record unreachable
+// shards in part when the query accepts degraded results.
+func (db *DB) stages(ctx context.Context, env *core.Env, p *plan, part *dist.Partial) queryStages {
+	if c := db.coord; c != nil {
+		return queryStages{
+			filter: func(t []int64) ([]int64, core.Stats, error) {
+				return c.Filter(ctx, t, p.filterTerms, p.pred, part)
+			},
+			topK: func(t []int64) ([]core.Scored, core.Stats, error) {
+				return c.TopK(ctx, t, p.scoreTerms, 0, p.k, p.order, part)
+			},
+			agg: func(g []core.Group) ([]core.Scored, core.Stats, error) {
+				return c.AggTopK(ctx, g, p.scoreTerms, 0, p.agg, p.k, p.order, part)
+			},
+		}
+	}
+	return queryStages{
+		filter: func(t []int64) ([]int64, core.Stats, error) {
+			return core.Filter(ctx, env, t, p.filterTerms, p.pred)
+		},
+		topK: func(t []int64) ([]core.Scored, core.Stats, error) {
+			return core.TopK(ctx, env, t, p.scoreTerms, 0, p.k, p.order)
+		},
+		agg: func(g []core.Group) ([]core.Scored, core.Stats, error) {
+			return core.AggTopK(ctx, env, g, p.scoreTerms, 0, p.agg, p.k, p.order)
+		},
+	}
 }
 
 // stream executes a bound plan for Stmt.Rows, yielding rows as they

@@ -1,19 +1,18 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 )
 
 // This file is the one CHI bounds rule. A bound plan is compiled once
 // per term per stage call: the range endpoints resolved to edge
-// indices in both the float and the byte domain, and, for a fixed
-// rectangle, the (cell offset, cell area, overlap) of every grid cell
-// it touches. Evaluating a plan against one mask's counts is then a
-// walk over those cells with no search and no geometry. Per-mask
-// regions (object boxes) resolve their rect per target and walk its
-// cells with the same hoisted edge indices.
+// indices through their bytes, and, for a fixed rectangle, the (cell
+// offset, cell area, overlap) of every grid cell it touches.
+// Evaluating a plan against one mask's counts is then a walk over
+// those cells with no search and no geometry. Per-mask regions (object
+// boxes) resolve their rect per target and walk its cells with the
+// same hoisted edge indices.
 
 // grid is the cell geometry every CHI of one index shares.
 type grid struct {
@@ -79,7 +78,7 @@ func byteThresholds(edges []float64) []int {
 // nearest at or above it; K stands for a count of 0 (no edge at or
 // above lo, or a top-closed range's hi). An endpoint that lands on an
 // edge has le == ge and is exact. empty marks a range that selects
-// nothing in this domain.
+// no byte.
 type edgeSel struct {
 	k                      int
 	loLE, loGE, hiLE, hiGE int
@@ -89,7 +88,7 @@ type edgeSel struct {
 // bracket resolves endpoint v against ascending values s: ge is the
 // first index at or above v (len(s) when none) and le the last at or
 // below it.
-func bracket[T cmp.Ordered](s []T, v T) (le, ge int) {
+func bracket(s []int, v int) (le, ge int) {
 	ge, found := slices.BinarySearch(s, v)
 	if found {
 		return ge, ge
@@ -97,11 +96,10 @@ func bracket[T cmp.Ordered](s []T, v T) (le, ge int) {
 	return ge - 1, ge
 }
 
-// boundPlan is one term's compiled bounds rule. sel[0] serves CHIs
-// built from float pixels, sel[1] byte-built ones.
+// boundPlan is one term's compiled bounds rule.
 type boundPlan struct {
 	g   grid
-	sel [2]edgeSel
+	sel edgeSel
 	// fixed plans carry their cells; the others resolve region per
 	// target.
 	fixed  bool
@@ -109,42 +107,28 @@ type boundPlan struct {
 	region RegionFn
 }
 
-// compilePlan compiles term t against geometry g, edges and their byte
-// thresholds thr (nil when no byte-built CHI will be evaluated). A
-// RegionRect spec is authoritative for the term's region.
+// compilePlan compiles term t against geometry g and the byte
+// thresholds thr of the index's edges. A RegionRect spec is
+// authoritative for the term's region.
 //
-// In the float domain an endpoint v is bracketed by the edges around
-// it. In the byte domain a range selects exactly the bytes
-// bLo <= b < bHi (ValueRange.ByteBounds), and a byte-built count at
-// edge j counts exactly the bytes b >= thr[j], so an endpoint
-// resolves by its byte against thr — and is exact whenever that byte
-// is some thr[j], even when the float endpoint is no edge.
-func compilePlan(g grid, edges []float64, thr []int, t CPTerm) boundPlan {
-	vr := t.Range
+// A range selects exactly the bytes bLo <= b < bHi
+// (ValueRange.ByteBounds), and the count at edge j counts exactly the
+// bytes b >= thr[j], so an endpoint resolves by its byte against thr —
+// and is exact whenever that byte is some thr[j], even when the float
+// endpoint is no edge.
+func compilePlan(g grid, thr []int, t CPTerm) boundPlan {
 	p := boundPlan{g: g, region: t.Region}
-	p.sel[0].k, p.sel[1].k = g.K, g.K
-	closedTop := vr.Hi >= 1
-	lo := max(vr.Lo, 0)
-	// The negated comparisons also catch NaN endpoints.
-	if vr.IsEmpty() || !(lo <= 1) || (!closedTop && !(vr.Hi > lo)) {
-		p.sel[0].empty, p.sel[1].empty = true, true
+	s := &p.sel
+	s.k = g.K
+	bLo, bHi := t.Range.ByteBounds()
+	if bLo >= bHi {
+		s.empty = true
 		return p
 	}
-	f := &p.sel[0]
-	f.loLE, f.loGE = bracket(edges, lo)
-	f.hiLE, f.hiGE = g.K, g.K
-	if !closedTop {
-		f.hiLE, f.hiGE = bracket(edges, vr.Hi)
-	}
-	if thr != nil {
-		b := &p.sel[1]
-		bLo, bHi := vr.ByteBounds()
-		b.empty = bLo >= bHi
-		b.loLE, b.loGE = bracket(thr, bLo)
-		b.hiLE, b.hiGE = g.K, g.K
-		if !closedTop {
-			b.hiLE, b.hiGE = bracket(thr, bHi)
-		}
+	s.loLE, s.loGE = bracket(thr, bLo)
+	s.hiLE, s.hiGE = g.K, g.K
+	if bHi < 256 {
+		s.hiLE, s.hiGE = bracket(thr, bHi)
 	}
 	if t.Spec.Kind == RegionRect {
 		p.fixed = true
@@ -153,13 +137,10 @@ func compilePlan(g grid, edges []float64, thr []int, t CPTerm) boundPlan {
 	return p
 }
 
-// bounds evaluates the plan over one mask's counts; byteBuilt selects
-// the endpoint resolution and id resolves a per-mask region.
-func (p *boundPlan) bounds(cum []int32, byteBuilt bool, id int64) Bounds {
-	s := &p.sel[0]
-	if byteBuilt {
-		s = &p.sel[1]
-	}
+// bounds evaluates the plan over one mask's counts; id resolves a
+// per-mask region.
+func (p *boundPlan) bounds(cum []int32, id int64) Bounds {
+	s := &p.sel
 	if s.empty {
 		return Bounds{}
 	}

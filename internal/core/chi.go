@@ -70,8 +70,8 @@ func (b Bounds) Width() int64 { return b.Hi - b.Lo }
 // cell and every edge threshold, the number of pixels in the cell with
 // value >= the threshold. CPBounds combines these suffix-cumulative
 // counts into admissible lower/upper bounds on any CP without touching
-// the mask itself. A MemoryIndex stores only the counts and the
-// ByteBuilt flag of each CHI; the geometry is the index's own.
+// the mask itself. A MemoryIndex stores only the counts of each CHI;
+// the geometry is the index's own.
 type CHI struct {
 	W, H         int
 	CellW, CellH int
@@ -81,12 +81,6 @@ type CHI struct {
 	// Cum[(cy*GW+cx)*len(Edges)+j] = #pixels in cell (cx, cy) with
 	// value >= Edges[j].
 	Cum []int32
-	// ByteBuilt reports that Build counted uint8 pixels (a Bytes or
-	// RLE backing), so only the 256 byte values can occur and range
-	// endpoints resolve against the edges' byte thresholds. A CHI
-	// decoded from a file written before the flag existed reads false
-	// and resolves against the float edges: looser, still admissible.
-	ByteBuilt bool
 }
 
 // Build constructs the CHI of a mask under the given config.
@@ -105,27 +99,20 @@ func Build(m *Mask, cfg Config) (*CHI, error) {
 		W: m.W, H: m.H,
 		CellW: cfg.CellW, CellH: cfg.CellH,
 		GW: gw, GH: gh,
-		Edges:     cfg.Edges,
-		Cum:       make([]int32, gw*gh*k),
-		ByteBuilt: m.Bytes != nil || m.RLE != nil,
+		Edges: cfg.Edges,
+		Cum:   make([]int32, gw*gh*k),
 	}
-	// First accumulate per-bin counts, then suffix-sum each cell.
-	var lut [256]int32 // byte pixels' bins (byteBins)
-	if c.ByteBuilt {
-		byteBins(&lut, cfg.Edges)
-	}
-	if m.Bytes == nil && m.RLE != nil {
-		// Compressed fast path: the same LUT as the byte path below, but
-		// whole repeat runs fold through it in one update per cell they
-		// touch — no pixel materialization.
+	// First accumulate per-bin counts through a 256-entry byte→bin
+	// LUT, then suffix-sum each cell.
+	var lut [256]int32
+	byteBins(&lut, cfg.Edges)
+	if m.Bytes == nil {
+		// Compressed path: whole repeat runs fold through the LUT in one
+		// update per cell they touch — no pixel materialization.
 		accumRLEHistogram(c.Cum, m.RLE, m.W, m.H, cfg.CellW, cfg.CellH, gw, k, &lut)
-	} else if m.Bytes != nil {
-		// Byte-domain fast path: pixels are quantized to 256 levels, so
-		// one 256-entry value→bin LUT replaces the per-pixel binary
-		// search, and walking each row cell-run by cell-run hoists the
-		// per-pixel cell division out of the inner loop. byteVal
-		// reproduces the store's decoding exactly, so the resulting CHI
-		// is identical to the float path's.
+	} else {
+		// Walking each row cell-run by cell-run hoists the per-pixel
+		// cell division out of the inner loop.
 		for y := 0; y < m.H; y++ {
 			rowBase := (y / cfg.CellH) * gw
 			row := m.Bytes[y*m.W : (y+1)*m.W]
@@ -134,16 +121,6 @@ func Build(m *Mask, cfg Config) (*CHI, error) {
 				for _, b := range row[cx*cfg.CellW : min((cx+1)*cfg.CellW, m.W)] {
 					cum[lut[b]]++
 				}
-			}
-		}
-	} else {
-		for y := 0; y < m.H; y++ {
-			cy := y / cfg.CellH
-			rowBase := cy * gw
-			for x := 0; x < m.W; x++ {
-				v := float64(m.Pix[y*m.W+x])
-				base := (rowBase + x/cfg.CellW) * k
-				c.Cum[base+binIndex(cfg.Edges, v)]++
 			}
 		}
 	}
@@ -156,8 +133,9 @@ func Build(m *Mask, cfg Config) (*CHI, error) {
 	return c, nil
 }
 
-// byteBins fills lut with every byte's bin — binIndex of its decoded
-// value — in one merge pass over the ascending edges.
+// byteBins fills lut with every byte's bin — the largest j with
+// edges[j] <= its decoded value — in one merge pass over the
+// ascending edges.
 func byteBins(lut *[256]int32, edges []float64) {
 	j := 0
 	for b := range lut {
@@ -166,15 +144,6 @@ func byteBins(lut *[256]int32, edges []float64) {
 		}
 		lut[b] = int32(j)
 	}
-}
-
-// binIndex returns the largest j with edges[j] <= v (v >= 0).
-func binIndex(edges []float64, v float64) int {
-	i := sort.SearchFloat64s(edges, v)
-	if i < len(edges) && edges[i] == v {
-		return i
-	}
-	return i - 1
 }
 
 // Config returns the configuration the index was built with.
@@ -188,10 +157,6 @@ func (c *CHI) Config() Config {
 // per target.
 func (c *CHI) CPBounds(roi Rect, vr ValueRange) Bounds {
 	g := grid{W: c.W, H: c.H, CellW: c.CellW, CellH: c.CellH, GW: c.GW, GH: c.GH, K: len(c.Edges)}
-	var thr []int
-	if c.ByteBuilt {
-		thr = byteThresholds(c.Edges)
-	}
-	p := compilePlan(g, c.Edges, thr, CPTerm{Range: vr, Spec: RegionSpec{Kind: RegionRect, Rect: roi}})
-	return p.bounds(c.Cum, c.ByteBuilt, 0)
+	p := compilePlan(g, byteThresholds(c.Edges), CPTerm{Range: vr, Spec: RegionSpec{Kind: RegionRect, Rect: roi}})
+	return p.bounds(c.Cum, 0)
 }

@@ -4,28 +4,77 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// randomMask draws a mask with clustered values plus forced exact-0.0
-// and exact-1.0 pixels so the top-bin edge case is always exercised.
+// randomMask draws a byte-backed mask with forced 0 and 255 pixels so
+// both histogram extremes, the v == 1.0 top bin included, are always
+// exercised.
 func randomMask(rng *rand.Rand, w, h int) *Mask {
-	m := NewMask(w, h)
-	for i := range m.Pix {
+	m := NewByteMask(w, h)
+	for i := range m.Bytes {
 		switch rng.Intn(10) {
 		case 0:
-			m.Pix[i] = 1.0
+			m.Bytes[i] = 255
 		case 1:
-			m.Pix[i] = 0.0
-		case 2:
-			// Quantized like the on-disk store.
-			m.Pix[i] = float32(rng.Intn(256)) / 255
+			m.Bytes[i] = 0
 		default:
-			m.Pix[i] = rng.Float32()
+			m.Bytes[i] = uint8(rng.Intn(256))
 		}
 	}
 	return m
+}
+
+// rleOf returns an RLE-backed copy of a byte-backed mask.
+func rleOf(m *Mask) *Mask {
+	return &Mask{W: m.W, H: m.H, RLE: EncodeRLE(m.Bytes, m.W, m.H)}
+}
+
+// refExactCP is the float reference for ExactCP: every pixel decoded
+// with At and tested with ValueRange.Contains.
+func refExactCP(m *Mask, roi Rect, vr ValueRange) int64 {
+	roi = roi.Intersect(m.Bounds())
+	var n int64
+	for y := roi.Y0; y < roi.Y1; y++ {
+		for x := roi.X0; x < roi.X1; x++ {
+			if vr.Contains(float64(m.At(x, y))) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// refBuild is the float reference for Build's counts: every decoded
+// pixel is binned by binary search over the edges (the largest j with
+// Edges[j] <= v), then each cell is suffix-summed.
+func refBuild(m *Mask, cfg Config) ([]int32, error) {
+	cfg, err := cfg.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	g := gridOf(m.W, m.H, cfg)
+	cum := make([]int32, g.slotLen())
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			v := float64(m.At(x, y))
+			j := sort.SearchFloat64s(cfg.Edges, v)
+			if j == len(cfg.Edges) || cfg.Edges[j] != v {
+				j--
+			}
+			cum[((y/g.CellH)*g.GW+x/g.CellW)*g.K+j]++
+		}
+	}
+	for cell := 0; cell < g.GW*g.GH; cell++ {
+		row := cum[cell*g.K : (cell+1)*g.K]
+		for j := g.K - 2; j >= 0; j-- {
+			row[j] += row[j+1]
+		}
+	}
+	return cum, nil
 }
 
 func randomConfig(rng *rand.Rand) Config {
@@ -180,7 +229,7 @@ func TestCPBoundsExactWhenAligned(t *testing.T) {
 		cw, ch := 2+rng.Intn(6), 2+rng.Intn(6)
 		gw, gh := 1+rng.Intn(5), 1+rng.Intn(5)
 		w, h := cw*gw, ch*gh
-		m := randomByteMask(rng, w, h)
+		m := randomMask(rng, w, h)
 		chi, err := Build(m, Config{CellW: cw, CellH: ch, Edges: DefaultEdges(10)})
 		if err != nil {
 			t.Fatal(err)
@@ -200,20 +249,22 @@ func TestCPBoundsExactWhenAligned(t *testing.T) {
 	}
 }
 
-// TestCPBoundsBelowDomain pins a range lying wholly below 0: it
-// selects nothing, on float- and byte-built CHIs alike, and its bounds
-// never read before a cell's first count.
+// TestCPBoundsBelowDomain pins ranges that select nothing — one lying
+// wholly below 0, and ones with a NaN endpoint — on byte- and
+// RLE-backed masks alike: ExactCP is 0, and the bounds are exactly 0
+// without reading before a cell's first count.
 func TestCPBoundsBelowDomain(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, m := range []*Mask{randomMask(rng, 16, 16), randomByteMask(rng, 16, 16)} {
+	for _, m := range []*Mask{randomMask(rng, 16, 16), rleOf(randomMask(rng, 16, 16))} {
 		chi, err := Build(m, Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, roi := range []Rect{{0, 0, 16, 16}, {0, 0, 3, 3}, {5, 5, 9, 9}} {
-			vr := ValueRange{Lo: -0.5, Hi: -0.25}
-			if b := chi.CPBounds(roi, vr); b != (Bounds{}) || ExactCP(m, roi, vr) != 0 {
-				t.Fatalf("range %v over %v: bounds %v, exact %d, want 0", vr, roi, b, ExactCP(m, roi, vr))
+			for _, vr := range []ValueRange{{Lo: -0.5, Hi: -0.25}, {Lo: 0, Hi: math.NaN()}, {Lo: math.NaN(), Hi: 0.5}, {Lo: math.NaN(), Hi: 1}} {
+				if b := chi.CPBounds(roi, vr); b != (Bounds{}) || ExactCP(m, roi, vr) != 0 {
+					t.Fatalf("range %v over %v: bounds %v, exact %d, want 0", vr, roi, b, ExactCP(m, roi, vr))
+				}
 			}
 		}
 	}
@@ -222,9 +273,9 @@ func TestCPBoundsBelowDomain(t *testing.T) {
 // TestCPTopBinSaturated pins the v == 1.0 edge: a fully saturated mask
 // must report every pixel in any top-closed range and zero in [x, 1).
 func TestCPTopBinSaturated(t *testing.T) {
-	m := NewMask(8, 8)
-	for i := range m.Pix {
-		m.Pix[i] = 1.0
+	m := NewByteMask(8, 8)
+	for i := range m.Bytes {
+		m.Bytes[i] = 255
 	}
 	if got := ExactCP(m, m.Bounds(), ValueRange{Lo: 0.9, Hi: 1.0}); got != 64 {
 		t.Fatalf("top-closed CP over saturated mask = %d, want 64", got)
@@ -426,4 +477,40 @@ func TestIndexRoundTrip(t *testing.T) {
 			t.Fatalf("mask %d: bounds differ after round trip", id)
 		}
 	}
+}
+
+// FuzzCPBounds checks the kernels and the bounds rule on arbitrary
+// pixels, ROIs and range endpoints (NaN and ±Inf included): byte and
+// RLE ExactCP equal refExactCP, and CPBounds brackets that count
+// within [0, area].
+func FuzzCPBounds(f *testing.F) {
+	seed := []byte{0, 255, 77, 76, 128, 3, 200, 255, 0, 1, 51, 52}
+	f.Add(seed, uint8(4), uint8(0x21), uint8(10), int8(0), int8(0), int8(4), int8(3), math.Float64bits(0.05*6), math.Float64bits(1))
+	f.Add(seed, uint8(3), uint8(0x11), uint8(4), int8(1), int8(-1), int8(9), int8(2), math.Float64bits(0.2), math.Float64bits(0.35))
+	f.Add(seed, uint8(6), uint8(0x32), uint8(16), int8(-2), int8(0), int8(5), int8(5), math.Float64bits(0), math.Float64bits(math.NaN()))
+	f.Add(seed, uint8(2), uint8(0x11), uint8(3), int8(0), int8(0), int8(2), int8(6), math.Float64bits(math.Inf(-1)), math.Float64bits(math.Inf(1)))
+	f.Fuzz(func(t *testing.T, pix []byte, w, cell, nEdges uint8, x0, y0, x1, y1 int8, loBits, hiBits uint64) {
+		if w == 0 || len(pix) < int(w) {
+			return
+		}
+		h := min(len(pix)/int(w), 64)
+		pix = pix[:int(w)*h]
+		bm := &Mask{W: int(w), H: h, Bytes: pix}
+		roi := Rect{int(x0), int(y0), int(x1), int(y1)}
+		vr := ValueRange{Lo: math.Float64frombits(loBits), Hi: math.Float64frombits(hiBits)}
+		want := refExactCP(bm, roi, vr)
+		if got, rgot := ExactCP(bm, roi, vr), ExactCP(rleOf(bm), roi, vr); got != want || rgot != want {
+			t.Fatalf("ExactCP byte %d, RLE %d, reference %d (roi %v vr %v)", got, rgot, want, roi, vr)
+		}
+		cfg := Config{CellW: 1 + int(cell&7), CellH: 1 + int(cell>>4&7), Edges: DefaultEdges(1 + int(nEdges%16))}
+		chi, err := Build(bm, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		area := int64(roi.Intersect(bm.Bounds()).Area())
+		if b := chi.CPBounds(roi, vr); b.Lo < 0 || b.Lo > want || want > b.Hi || b.Hi > area {
+			t.Fatalf("CPBounds %v vs exact %d, area %d (roi %v vr %v cells %dx%d edges %v)",
+				b, want, area, roi, vr, cfg.CellW, cfg.CellH, chi.Edges)
+		}
+	})
 }

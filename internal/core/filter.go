@@ -77,13 +77,13 @@ func (e *Env) termBounds(id int64, plans []boundPlan, bs []Bounds, st *Stats) bo
 	if plans == nil {
 		return false
 	}
-	cum, byteBuilt, ok := e.Index.counts(id)
+	cum, ok := e.Index.counts(id)
 	if !ok {
 		return false
 	}
 	st.IndexHits++
 	for t := range plans {
-		bs[t] = plans[t].bounds(cum, byteBuilt, id)
+		bs[t] = plans[t].bounds(cum, id)
 	}
 	return true
 }

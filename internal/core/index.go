@@ -12,13 +12,11 @@ import (
 
 // Slot states. A slot is written once: a writer claims it by moving
 // it from slotAbsent to slotWriting, fills its counts, then publishes
-// it as float- or byte-built. Readers treat every other state as
-// absent.
+// it. Readers treat every other state as absent.
 const (
 	slotAbsent uint32 = iota
 	slotWriting
-	slotFloat
-	slotBytes
+	slotPublished
 )
 
 const (
@@ -71,27 +69,22 @@ func NewMemoryIndex(cfg Config) *MemoryIndex {
 // Config returns the build configuration of the index.
 func (ix *MemoryIndex) Config() Config { return ix.cfg }
 
-// counts returns id's counts and whether they were byte-built; ok is
-// false when id is not indexed.
-func (ix *MemoryIndex) counts(id int64) (cum []int32, byteBuilt, ok bool) {
+// counts returns id's counts; ok is false when id is not indexed.
+func (ix *MemoryIndex) counts(id int64) (cum []int32, ok bool) {
 	if ix == nil {
-		return nil, false, false
+		return nil, false
 	}
 	a := ix.dir.Load()
 	if a == nil || id < 0 || id>>chunkShift >= int64(len(a.chunks)) {
-		return nil, false, false
+		return nil, false
 	}
 	c := a.chunks[id>>chunkShift].Load()
-	if c == nil {
-		return nil, false, false
-	}
-	s := c.state[id&(chunkSlots-1)].Load()
-	if s != slotFloat && s != slotBytes {
-		return nil, false, false
+	if c == nil || c.state[id&(chunkSlots-1)].Load() != slotPublished {
+		return nil, false
 	}
 	n := a.g.slotLen()
 	off := int(id&(chunkSlots-1)) * n
-	return c.cum[off : off+n : off+n], s == slotBytes, true
+	return c.cum[off : off+n : off+n], true
 }
 
 // plans compiles one bound plan per term against the index's grid. It
@@ -107,7 +100,7 @@ func (ix *MemoryIndex) plans(terms []CPTerm) []boundPlan {
 	}
 	out := make([]boundPlan, len(terms))
 	for i, t := range terms {
-		out[i] = compilePlan(a.g, ix.cfg.Edges, ix.thr, t)
+		out[i] = compilePlan(a.g, ix.thr, t)
 	}
 	return out
 }
@@ -115,14 +108,14 @@ func (ix *MemoryIndex) plans(terms []CPTerm) []boundPlan {
 // ChiFor returns a read-only view of id's CHI, or (nil, nil) when id
 // is not indexed. The view's Cum aliases the index.
 func (ix *MemoryIndex) ChiFor(id int64) (*CHI, error) {
-	cum, byteBuilt, ok := ix.counts(id)
+	cum, ok := ix.counts(id)
 	if !ok {
 		return nil, nil
 	}
 	g := ix.dir.Load().g
 	return &CHI{
 		W: g.W, H: g.H, CellW: g.CellW, CellH: g.CellH, GW: g.GW, GH: g.GH,
-		Edges: ix.cfg.Edges, Cum: cum, ByteBuilt: byteBuilt,
+		Edges: ix.cfg.Edges, Cum: cum,
 	}, nil
 }
 
@@ -183,11 +176,7 @@ func (ix *MemoryIndex) Add(id int64, chi *CHI) error {
 	}
 	n := g.slotLen()
 	copy(c.cum[int(id&(chunkSlots-1))*n:][:n], chi.Cum)
-	if chi.ByteBuilt {
-		st.Store(slotBytes)
-	} else {
-		st.Store(slotFloat)
-	}
+	st.Store(slotPublished)
 	ix.n.Add(1)
 	return nil
 }
@@ -236,7 +225,7 @@ func (ix *MemoryIndex) chunk(id int64, g grid) (*chunk, error) {
 // no-op. Both builds are identical, and Build runs outside any lock,
 // so a slow build never blocks a reader.
 func (ix *MemoryIndex) Observe(id int64, m *Mask) {
-	if _, _, ok := ix.counts(id); ok {
+	if _, ok := ix.counts(id); ok {
 		return
 	}
 	chi, err := Build(m, ix.cfg)
@@ -269,7 +258,7 @@ func (ix *MemoryIndex) ids() []int64 {
 				continue
 			}
 			for i := range c.state {
-				if s := c.state[i].Load(); s == slotFloat || s == slotBytes {
+				if c.state[i].Load() == slotPublished {
 					out = append(out, int64(ci)<<chunkShift|int64(i))
 				}
 			}

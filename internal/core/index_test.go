@@ -50,7 +50,7 @@ func TestReadMemoryIndexRejectsCorruption(t *testing.T) {
 }
 
 // TestArenaReadsDuringObserve runs BoundCands on a worker pool while
-// other goroutines Observe new ids into a mixed float/byte index,
+// other goroutines Observe new ids from byte- and RLE-backed masks,
 // growing the chunk directory under the readers. Every read must be
 // either unindexed or exactly the built CHI's own CPBounds.
 func TestArenaReadsDuringObserve(t *testing.T) {
@@ -68,10 +68,9 @@ func TestArenaReadsDuringObserve(t *testing.T) {
 	masks := make([]*Mask, n)
 	want := make([][2]Bounds, n)
 	for i := range masks {
-		if i%2 == 0 {
-			masks[i] = randomMask(rng, 16, 16)
-		} else {
-			masks[i] = randomByteMask(rng, 16, 16)
+		masks[i] = randomMask(rng, 16, 16)
+		if i%2 == 1 {
+			masks[i] = rleOf(masks[i])
 		}
 		chi, err := Build(masks[i], cfg)
 		if err != nil {
@@ -127,8 +126,8 @@ func FuzzReadMemoryIndex(f *testing.F) {
 	rng := rand.New(rand.NewSource(16))
 	idx := NewMemoryIndex(Config{CellW: 3, CellH: 3, Edges: DefaultEdges(4)})
 	idx.Observe(0, randomMask(rng, 7, 5))
-	idx.Observe(1, randomByteMask(rng, 7, 5))
-	idx.Observe(70, randomByteMask(rng, 7, 5))
+	idx.Observe(1, rleOf(randomMask(rng, 7, 5)))
+	idx.Observe(70, randomMask(rng, 7, 5))
 	var seed bytes.Buffer
 	if err := idx.Encode(&seed); err != nil {
 		f.Fatal(err)
@@ -170,4 +169,79 @@ func FuzzReadMemoryIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadMemoryIndexCompat reads chi.gob envelopes in the two older
+// CHI shapes: one whose CHIs carry a ByteBuilt flag, and one from
+// before the flag existed. Both read back, and every id's bounds equal
+// those of a fresh Build of its mask.
+func TestReadMemoryIndexCompat(t *testing.T) {
+	type flaggedCHI struct {
+		W, H, CellW, CellH, GW, GH int
+		Edges                      []float64
+		Cum                        []int32
+		ByteBuilt                  bool
+	}
+	type plainCHI struct {
+		W, H, CellW, CellH, GW, GH int
+		Edges                      []float64
+		Cum                        []int32
+	}
+	rng := rand.New(rand.NewSource(18))
+	cfg, err := Config{CellW: 4, CellH: 4, Edges: DefaultEdges(10)}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	fresh := make([]*CHI, n)
+	flagged := make(map[int64]*flaggedCHI, n)
+	plain := make(map[int64]*plainCHI, n)
+	for i := range fresh {
+		m := randomMask(rng, 16, 16)
+		if i%2 == 1 {
+			m = rleOf(m)
+		}
+		c, err := Build(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = c
+		flagged[int64(i)] = &flaggedCHI{c.W, c.H, c.CellW, c.CellH, c.GW, c.GH, c.Edges, c.Cum, true}
+		plain[int64(i)] = &plainCHI{c.W, c.H, c.CellW, c.CellH, c.GW, c.GH, c.Edges, c.Cum}
+	}
+	for _, file := range []struct {
+		name string
+		buf  *bytes.Buffer
+	}{{"flagged", encodeEnvelope(t, cfg, flagged)}, {"plain", encodeEnvelope(t, cfg, plain)}} {
+		ix, err := ReadMemoryIndex(file.buf)
+		if err != nil {
+			t.Fatalf("%s file: %v", file.name, err)
+		}
+		if ix.Len() != n {
+			t.Fatalf("%s file: %d ids indexed, want %d", file.name, ix.Len(), n)
+		}
+		for id, c := range fresh {
+			got, _ := ix.ChiFor(int64(id))
+			for probe := 0; probe < 20; probe++ {
+				roi := randomROI(rng, 16, 16)
+				vr := gridVR(rng)
+				if b, want := got.CPBounds(roi, vr), c.CPBounds(roi, vr); b != want {
+					t.Fatalf("%s file id %d: bounds %v, fresh Build's %v (roi %v vr %v)", file.name, id, b, want, roi, vr)
+				}
+			}
+		}
+	}
+}
+
+// encodeEnvelope gob-encodes an index file whose CHIs have type C.
+func encodeEnvelope[C any](t *testing.T, cfg Config, chis map[int64]*C) *bytes.Buffer {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(struct {
+		Cfg  Config
+		Chis map[int64]*C
+	}{cfg, chis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &buf
 }

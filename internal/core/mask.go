@@ -64,9 +64,10 @@ type ValueRange struct {
 	Lo, Hi float64
 }
 
-// Contains reports whether value v falls in the range.
+// Contains reports whether value v falls in the range. A NaN
+// endpoint selects nothing.
 func (vr ValueRange) Contains(v float64) bool {
-	if v < vr.Lo {
+	if !(v >= vr.Lo) {
 		return false
 	}
 	if vr.Hi >= 1 {
@@ -77,6 +78,9 @@ func (vr ValueRange) Contains(v float64) bool {
 
 // IsEmpty reports whether no value can satisfy the range.
 func (vr ValueRange) IsEmpty() bool {
+	if math.IsNaN(vr.Lo) || math.IsNaN(vr.Hi) {
+		return true
+	}
 	if vr.Hi >= 1 {
 		return vr.Lo > 1
 	}
@@ -90,11 +94,13 @@ func byteVal(b int) float64 { return float64(float32(b) / 255) }
 
 // ByteBounds quantizes the range to the uint8 pixel domain once per
 // query: a stored byte b satisfies the range iff lo <= b < hi (hi
-// ranges up to 256). Because byteVal is strictly increasing, the byte
-// interval selects exactly the bytes whose decoded value satisfies
-// Contains, so byte-domain kernels agree bit-for-bit with the float
-// path on quantized masks.
+// ranges up to 256), and an empty range yields lo >= hi. Because
+// byteVal is strictly increasing, the byte interval selects exactly
+// the bytes whose decoded value satisfies Contains.
 func (vr ValueRange) ByteBounds() (lo, hi int) {
+	if vr.IsEmpty() {
+		return 0, 0
+	}
 	lo = sort.Search(256, func(b int) bool { return byteVal(b) >= vr.Lo })
 	if vr.Hi >= 1 {
 		// Top-closed: every byte decodes to a value <= 1.0.
@@ -111,33 +117,23 @@ func (vr ValueRange) String() string {
 	return fmt.Sprintf("[%g, %g)", vr.Lo, vr.Hi)
 }
 
-// Mask is a dense 2-D array of pixel values in [0, 1], row-major.
-// It has three interchangeable backings:
+// Mask is a dense 2-D array of uint8 pixels, row-major; a byte b
+// stands for the value b/255 in [0, 1]. It has two backings:
 //
-//   - Pix, float32 values, the general representation;
-//   - Bytes, raw uint8 pixels as stored on disk (value = b/255); and
+//   - Bytes, raw pixels as stored on disk; and
 //   - RLE, the run-length-encoded byte stream of the compressed
-//     layout (see EncodeRLE), still in the uint8 pixel domain.
+//     layout (see EncodeRLE).
 //
-// When Bytes is non-nil it is authoritative and the kernels run in
+// When Bytes is non-nil it is authoritative and the kernels count in
 // the byte domain (SWAR counting over quantized thresholds, no float
-// conversion); Pix may then be nil. When only RLE is non-nil the hot
-// kernels (ExactCP, CHI Build) iterate the runs directly without
-// materializing pixels; everything else decodes first via Decoded.
-// Masks loaded from a store are byte- or RLE-backed depending on the
-// store's codec; masks built in memory via NewMask are float-backed.
-// Consumers should read pixels through At, ExactCP or ToFloat rather
-// than ranging over Pix directly, which is nil on byte-backed masks.
+// conversion). When only RLE is non-nil the hot kernels (ExactCP, CHI
+// Build) iterate the runs directly without materializing pixels;
+// everything else decodes first via Decoded. Masks loaded from a
+// store are byte- or RLE-backed depending on the store's codec.
 type Mask struct {
 	W, H  int
-	Pix   []float32
 	Bytes []uint8
 	RLE   []byte
-}
-
-// NewMask allocates a zero float-backed mask of the given dimensions.
-func NewMask(w, h int) *Mask {
-	return &Mask{W: w, H: h, Pix: make([]float32, w*h)}
 }
 
 // NewByteMask allocates a zero byte-backed mask of the given
@@ -153,10 +149,7 @@ func (m *Mask) At(x, y int) float32 {
 	if m.Bytes != nil {
 		return float32(m.Bytes[y*m.W+x]) / 255
 	}
-	if m.RLE != nil {
-		return float32(m.rleAt(x, y)) / 255
-	}
-	return m.Pix[y*m.W+x]
+	return float32(m.rleAt(x, y)) / 255
 }
 
 // rleAt finds pixel (x, y) in the compressed stream by skipping whole
@@ -196,46 +189,13 @@ func (m *Mask) rleAt(x, y int) uint8 {
 	}
 }
 
-// Set stores v at pixel (x, y). The caller must stay in bounds. On a
-// byte-backed mask the value is clamped to [0, 1] and quantized to
-// the storage domain, so a subsequent At may return the nearest
-// representable value rather than v itself.
-func (m *Mask) Set(x, y int, v float32) {
-	if m.Bytes != nil {
-		v = min(max(v, 0), 1)
-		m.Bytes[y*m.W+x] = uint8(math.Round(float64(v) * 255))
-		return
-	}
-	if m.RLE != nil {
-		// The compressed stream is immutable; writable copies come from
-		// Decoded.
-		panic("core: Set on an RLE-backed mask; call Decoded first")
-	}
-	m.Pix[y*m.W+x] = v
-}
-
-// ToFloat returns a float-backed view of the mask: the mask itself
-// when already float-backed, otherwise a converted copy.
-func (m *Mask) ToFloat() *Mask {
-	if m.Pix != nil {
-		return m
-	}
-	b := m.Decoded().Bytes
-	out := NewMask(m.W, m.H)
-	for i, v := range b {
-		out.Pix[i] = float32(v) / 255
-	}
-	return out
-}
-
-// Decoded returns a mask with materialized pixels: the mask itself
-// when Bytes or Pix is already present, otherwise a byte-backed copy
-// decompressed from the RLE stream. It is the decode-then-scan
-// fallback for code without a compressed path (rendering, histograms,
-// region extraction). The stream must be valid (the store validates at
+// Decoded returns a byte-backed mask: the mask itself when Bytes is
+// already present, otherwise a copy decompressed from the RLE stream.
+// It is the decode-then-scan fallback for code without a compressed
+// path (rendering, histograms, region extraction). The stream must be valid (the store validates at
 // load time); a corrupt stream panics.
 func (m *Mask) Decoded() *Mask {
-	if m.Bytes != nil || m.RLE == nil {
+	if m.Bytes != nil {
 		return m
 	}
 	out := NewByteMask(m.W, m.H)
@@ -250,8 +210,8 @@ func (m *Mask) Bounds() Rect { return Rect{0, 0, m.W, m.H} }
 
 // ExactCP computes CP(mask, roi, vr): the count of pixels inside roi
 // whose value falls in vr. This is the verification-stage kernel; the
-// filter stage approximates it with CHI.CPBounds. Byte-backed masks
-// take a quantized fast path that avoids any float work.
+// filter stage approximates it with CHI.CPBounds. Both backings count
+// against the range's quantized byte bounds, with no float work.
 func ExactCP(m *Mask, roi Rect, vr ValueRange) int64 {
 	roi = roi.Intersect(m.Bounds())
 	if roi.Empty() || vr.IsEmpty() {
@@ -260,30 +220,7 @@ func ExactCP(m *Mask, roi Rect, vr ValueRange) int64 {
 	if m.Bytes != nil {
 		return exactCPBytes(m, roi, vr)
 	}
-	if m.RLE != nil {
-		return exactCPRLE(m, roi, vr)
-	}
-	// Comparisons happen in float64 so the kernel agrees exactly with
-	// ValueRange.Contains and with CHI bin assignment.
-	var n int64
-	closedTop := vr.Hi >= 1
-	for y := roi.Y0; y < roi.Y1; y++ {
-		row := m.Pix[y*m.W+roi.X0 : y*m.W+roi.X1]
-		for _, p := range row {
-			v := float64(p)
-			if v < vr.Lo {
-				continue
-			}
-			if closedTop {
-				if v <= 1 {
-					n++
-				}
-			} else if v < vr.Hi {
-				n++
-			}
-		}
-	}
-	return n
+	return exactCPRLE(m, roi, vr)
 }
 
 // SWAR constants: the low bit and the high (sign) bit of every byte

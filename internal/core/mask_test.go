@@ -1,30 +1,16 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// randomByteMask draws a quantized mask with forced 0 and 255 pixels
-// so both histogram extremes are always present.
-func randomByteMask(rng *rand.Rand, w, h int) *Mask {
-	m := NewByteMask(w, h)
-	for i := range m.Bytes {
-		switch rng.Intn(8) {
-		case 0:
-			m.Bytes[i] = 255
-		case 1:
-			m.Bytes[i] = 0
-		default:
-			m.Bytes[i] = uint8(rng.Intn(256))
-		}
-	}
-	return m
-}
-
 // TestByteBoundsMatchContains pins the quantization: for every byte
-// value and many random ranges, membership in the quantized byte
-// interval must agree with ValueRange.Contains on the decoded value.
+// value and many random ranges, empty ones included, membership in
+// the quantized byte interval must agree with ValueRange.Contains on
+// the decoded value.
 func TestByteBoundsMatchContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	vrs := []ValueRange{
@@ -33,15 +19,15 @@ func TestByteBoundsMatchContains(t *testing.T) {
 		{Lo: 0.5, Hi: 0.5},
 		{Lo: -0.3, Hi: 2},
 		{Lo: 0.2, Hi: 0.200001},
+		{Lo: 0, Hi: math.NaN()},
+		{Lo: math.NaN(), Hi: 0.5},
+		{Lo: math.Inf(-1), Hi: math.Inf(1)},
 	}
 	for i := 0; i < 500; i++ {
 		lo := rng.Float64() * 1.2
 		vrs = append(vrs, ValueRange{Lo: lo, Hi: lo + rng.Float64()})
 	}
 	for _, vr := range vrs {
-		if vr.IsEmpty() {
-			continue
-		}
 		bLo, bHi := vr.ByteBounds()
 		for b := 0; b < 256; b++ {
 			inByte := b >= bLo && b < bHi
@@ -55,40 +41,35 @@ func TestByteBoundsMatchContains(t *testing.T) {
 }
 
 // TestByteFloatKernelAgreement is the byte-domain correctness
-// property: for random quantized masks, the byte-domain ExactCP and
-// LUT-based Build must agree exactly with the float64 kernels on the
-// converted mask.
+// property: for random masks, the byte and RLE kernels of ExactCP and
+// Build must agree exactly with the float references refExactCP and
+// refBuild.
 func TestByteFloatKernelAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for iter := 0; iter < 300; iter++ {
 		w, h := 4+rng.Intn(29), 4+rng.Intn(29)
-		bm := randomByteMask(rng, w, h)
-		fm := bm.ToFloat()
-		if fm.Bytes != nil || bm.Pix != nil {
-			t.Fatal("backing mixup")
-		}
+		bm := randomMask(rng, w, h)
+		rm := rleOf(bm)
 		for probe := 0; probe < 10; probe++ {
 			roi := randomROI(rng, w, h)
 			vr := randomVR(rng)
-			if got, want := ExactCP(bm, roi, vr), ExactCP(fm, roi, vr); got != want {
-				t.Fatalf("iter %d: byte ExactCP = %d, float = %d (roi %v vr %v)", iter, got, want, roi, vr)
+			want := refExactCP(bm, roi, vr)
+			if got, rgot := ExactCP(bm, roi, vr), ExactCP(rm, roi, vr); got != want || rgot != want {
+				t.Fatalf("iter %d: byte ExactCP = %d, RLE = %d, reference = %d (roi %v vr %v)", iter, got, rgot, want, roi, vr)
 			}
 		}
 		cfg := randomConfig(rng)
-		bc, err := Build(bm, cfg)
+		want, err := refBuild(bm, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc, err := Build(fm, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bc.Cum) != len(fc.Cum) {
-			t.Fatalf("iter %d: CHI shapes differ", iter)
-		}
-		for i := range bc.Cum {
-			if bc.Cum[i] != fc.Cum[i] {
-				t.Fatalf("iter %d: LUT CHI differs from float CHI at %d: %d vs %d", iter, i, bc.Cum[i], fc.Cum[i])
+		for _, m := range []*Mask{bm, rm} {
+			c, err := Build(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(c.Cum, want) {
+				t.Fatalf("iter %d: CHI (rle %v) differs from the reference:\n%v\n%v", iter, m.RLE != nil, c.Cum, want)
 			}
 		}
 	}
@@ -134,7 +115,7 @@ func popcnt(x uint64) int {
 	return n
 }
 
-// TestByteMaskAccessors covers At/ToFloat on both backings.
+// TestByteMaskAccessors covers At on a byte-backed mask.
 func TestByteMaskAccessors(t *testing.T) {
 	bm := NewByteMask(4, 2)
 	bm.Bytes[5] = 255
@@ -144,26 +125,5 @@ func TestByteMaskAccessors(t *testing.T) {
 	}
 	if bm.At(2, 0) != float32(51)/255 {
 		t.Fatalf("byte At = %g", bm.At(2, 0))
-	}
-	fm := bm.ToFloat()
-	if fm.At(1, 1) != 1.0 || fm.At(2, 0) != float32(51)/255 {
-		t.Fatal("ToFloat lost values")
-	}
-	if fm.ToFloat() != fm {
-		t.Fatal("ToFloat of a float mask should be identity")
-	}
-	// Set on a byte-backed mask quantizes into the storage domain.
-	bm.Set(0, 0, 0.2)
-	if bm.Bytes[0] != 51 {
-		t.Fatalf("byte Set stored %d, want 51", bm.Bytes[0])
-	}
-	bm.Set(1, 0, 1.7) // clamped to 1.0
-	bm.Set(3, 0, -2)  // clamped to 0.0
-	if bm.Bytes[1] != 255 || bm.Bytes[3] != 0 {
-		t.Fatalf("byte Set clamping stored %d/%d, want 255/0", bm.Bytes[1], bm.Bytes[3])
-	}
-	fm.Set(0, 0, 0.25)
-	if fm.At(0, 0) != 0.25 {
-		t.Fatal("float Set lost value")
 	}
 }

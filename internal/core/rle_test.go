@@ -191,7 +191,7 @@ func int32sEqual(a, b []int32) bool {
 }
 
 // TestRLEAccessors checks the decode-then-scan fallbacks: At walks
-// runs, Decoded materializes bytes, ToFloat converts, Set refuses.
+// runs, Decoded materializes bytes.
 func TestRLEAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w, h := 19, 11
@@ -208,16 +208,6 @@ func TestRLEAccessors(t *testing.T) {
 	if !bytes.Equal(dec.Bytes, pix) {
 		t.Fatal("Decoded bytes differ from source pixels")
 	}
-	ff := rm.ToFloat()
-	if ff.Pix[3] != float32(pix[3])/255 {
-		t.Fatal("ToFloat mismatch")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set on an RLE-backed mask did not panic")
-		}
-	}()
-	rm.Set(0, 0, 0.5)
 }
 
 // FuzzRLE fuzzes both directions of the codec: arbitrary pixels must

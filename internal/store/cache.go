@@ -156,7 +156,7 @@ func (c *maskCache) evictLocked() int64 {
 // compressed bytes and the same budget holds proportionally more
 // compressed masks.
 func maskFootprint(m *core.Mask) int64 {
-	return int64(len(m.Bytes) + len(m.RLE) + 4*len(m.Pix))
+	return int64(len(m.Bytes) + len(m.RLE))
 }
 
 // residentBytes reports the current cache footprint (tests and

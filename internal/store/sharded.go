@@ -263,7 +263,6 @@ func (ss *ShardedStore) ReleaseMask(m *core.Mask) {
 		}
 	}
 	if pooled {
-		m.Pix = nil
 		ss.pool.Put(m)
 	}
 }

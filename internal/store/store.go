@@ -410,7 +410,6 @@ func (s *Store) SetCacheBytes(n int64) {
 		if m.Bytes == nil || len(m.Bytes) != s.w*s.h {
 			return
 		}
-		m.Pix = nil
 		s.maskPool.Put(m)
 	})
 }
@@ -603,7 +602,6 @@ func (s *Store) ReleaseMask(m *core.Mask) {
 	if s.releaseCached(m) {
 		return
 	}
-	m.Pix = nil
 	s.maskPool.Put(m)
 }
 
@@ -681,10 +679,7 @@ func (s *Store) loadRegionCompressed(id int64, r core.Rect) (*core.Mask, error) 
 	if tmp == nil {
 		tmp = core.NewByteMask(s.w, s.h)
 	}
-	defer func() {
-		tmp.Pix = nil
-		s.maskPool.Put(tmp)
-	}()
+	defer s.maskPool.Put(tmp)
 	if err := core.DecodeRLE(rle, s.w, s.h, tmp.Bytes); err != nil {
 		return nil, fmt.Errorf("store: mask %d: %w", id, err)
 	}

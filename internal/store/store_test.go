@@ -230,5 +230,4 @@ func TestReleaseMaskPool(t *testing.T) {
 	// Foreign-shaped masks must be ignored, not pooled.
 	st.ReleaseMask(core.NewByteMask(3, 3))
 	st.ReleaseMask(nil)
-	st.ReleaseMask(core.NewMask(16, 16)) // float-backed
 }

@@ -22,7 +22,8 @@ import (
 	"masksearch/internal/store"
 )
 
-// Mask is a dense 2-D array of pixel values in [0, 1].
+// Mask is a dense 2-D array of uint8 pixels (value b/255), byte- or
+// RLE-backed.
 type Mask = core.Mask
 
 // Rect is a half-open pixel rectangle [X0, X1) x [Y0, Y1).
